@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import (
     ConstraintBox,
@@ -363,6 +362,10 @@ def delta_feasible(nus: list[np.ndarray], lb: float = 1e-9) -> bool:
     """
     if len(nus) == 0:
         raise ValueError("need at least one vector")
+    # imported here, its only use: scipy.optimize costs about 50 MB and
+    # half a second at import, which every other caller of mlplr would pay
+    from scipy.optimize import linprog
+
     V = np.stack([np.asarray(v, dtype=float) for v in nus])
     scale = np.max(np.linalg.norm(V, axis=1))
     if scale == 0.0:
@@ -427,6 +430,14 @@ class ConeSpec:
         m = self.partition.group_sizes()[i - 1]
         return min(m - 1, self.basis.d + 1)
 
+    def quad_units(self) -> list[tuple[int, float]]:
+        """(0-based true unit, sign) once per admissible rank-one direction."""
+        return [
+            (i - 1, float(self.signs[i - 1]))
+            for i in range(1, self.partition.k0 + 1)
+            for _ in range(self.rank_budget(i))
+        ]
+
     def coefficient_vector(
         self,
         gamma: float,
@@ -474,7 +485,14 @@ class ConeSpec:
 
 @dataclass
 class ConeOptSettings:
-    """Inner maximizer controls for the per-draw supremum."""
+    """Controls of the fallback cone searches.
+
+    They drive only the partitions without a closed form: at d = 1 those
+    with quadratic directions on several true units or with extra phi
+    columns (coordinate ascent over angles), and every partition with a
+    quadratic term at d > 1 (sphere search). The d = 1 single-unit cones
+    are solved exactly and ignore these settings.
+    """
 
     angle_grid: int = 64
     golden_iters: int = 48
@@ -491,17 +509,20 @@ class LimitSample:
     k0: int
     d: int
     best_partition: list[tuple[int, ...]] = field(default_factory=list)
-    restarts_used: np.ndarray | None = None
+    # per draw, the solver of the winning partition: "linear" (no quadratic
+    # direction; extra phi columns, if any, chosen greedily), "exact_rank1"
+    # or "exact_psd" (d = 1 closed forms), "search" (fallback searches)
+    path: np.ndarray | None = None
     extended: bool = False
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
-            fh.write("value,best_partition,restarts\n")
+            fh.write("value,best_partition,path\n")
             for i, v in enumerate(self.values):
                 t = "-".join(str(x) for x in self.best_partition[i]) if self.best_partition else ""
-                r = int(self.restarts_used[i]) if self.restarts_used is not None else 0
+                r = self.path[i] if self.path is not None else ""
                 fh.write(f"{repr(float(v))},{t},{r}\n")
 
 
@@ -520,12 +541,19 @@ def _direction_columns(basis: ScoreBasis, unit: int, sign: float, u: np.ndarray)
 
 
 class _ConeMaximizer:
-    """Per-partition supremum of (max(c^T g, 0))^2 / (c^T sigma c).
+    """Supremum of (max(c^T g, 0))^2 / (c^T sigma c) over a linear block
+    plus a few given columns.
 
-    The linear block enters unconstrained; each quadratic direction
-    contributes a column whose coefficient must stay non-negative. With a
-    handful of sign-constrained columns the exact cone projection is found
-    by enumerating active subsets.
+    The linear block enters unconstrained; each given column (a quadratic
+    direction, or an extra phi column in one orientation) must keep a
+    non-negative coefficient. With a handful of such columns the exact
+    projection onto the cone they span is found by enumerating active
+    subsets. This scores fixed columns; choosing the quadratic directions
+    is left to the fallback searches, since the d = 1 single-unit cones
+    have closed forms (_exact_partition_d1). The ridge on the column block
+    shrinks a column's gain by the relative amount ridge / r, r its
+    residual variance after the linear block: at desk scale 3.7e-13
+    against r as small as 3.1e-9.
     """
 
     def __init__(self, gram: GramMatrix, lin_idx: np.ndarray, ridge: float = 1e-12):
@@ -569,6 +597,92 @@ class _ConeMaximizer:
             feasible = np.all(b[:, n_lin:] >= -1e-12, axis=1)
             np.maximum(best, np.where(feasible, val, -np.inf), out=best)
         return best
+
+
+# Quadratic-block coordinates (A00, 2 A01, A11) of u u^T, u = (cos w, sin w),
+# as a linear map of v = (1, cos 2w, sin 2w).
+_RANK1_D1 = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]])
+
+
+def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
+    """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = sign * P v.
+
+    With a = sign * P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
+    (v^T B v) in the angle phi = 2w. Its stationary points are the zeros of
+    p = (a^T v')(v^T B v) - (a^T v)(v^T B v'), a trigonometric polynomial of
+    degree 2 (the degree-3 terms cancel) and linear in a. With
+    t = tan(phi / 2), (1 + t^2)^2 p is a real quartic in t; the angle of
+    every root's real part, and phi = pi (t at infinity), are the
+    candidates, and the largest f over them is the maximum.
+    """
+    a = sign * (h @ _RANK1_D1)
+    B = _RANK1_D1.T @ T @ _RANK1_D1
+    # p for a = e_j sampled at 8 angles gives its exact Fourier
+    # coefficients (c0, c1, s1, c2, s2) of 1, cos, sin, cos 2, sin 2
+    phi = np.arange(8) * (np.pi / 4)
+    V = np.stack([np.ones(8), np.cos(phi), np.sin(phi)], axis=1)
+    dV = np.stack([np.zeros(8), -np.sin(phi), np.cos(phi)], axis=1)
+    vBv = np.einsum("ki,ij,kj->k", V, B, V)
+    vBdv = np.einsum("ki,ij,kj->k", V, B, dV)
+    X = np.fft.rfft(dV * vBv[:, None] - V * vBdv[:, None], axis=0) / 4.0
+    trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=1)
+    to_t = np.array([  # (c0, c1, s1, c2, s2) -> coefficients of t^4 .. t^0
+        [1.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, -4.0],
+        [2.0, 0.0, 0.0, -6.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 4.0],
+        [1.0, 1.0, 0.0, 1.0, 0.0],
+    ])
+    coef = a @ (trig @ to_t.T)  # (N, 5)
+    # a vanishing leading coefficient sends a root to infinity (phi = pi,
+    # a candidate anyway); bounding it away from 0 keeps the roots finite
+    scale = np.abs(coef).max(axis=1)
+    tiny = 1e-14 * scale + np.finfo(float).tiny
+    lead = np.where(np.abs(coef[:, 0]) > tiny, coef[:, 0], tiny)
+    comp = np.zeros((h.shape[0], 4, 4))
+    comp[:, 0, :] = -coef[:, 1:] / lead[:, None]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(comp).real
+    ang = np.concatenate([2.0 * np.arctan(roots), np.full((h.shape[0], 1), np.pi)], axis=1)
+    Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+    num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
+    den = np.einsum("nki,ij,nkj->nk", Vc, B, Vc)
+    return np.maximum((num * num / den).max(axis=1), 0.0)
+
+
+def _exact_partition_d1(
+    mx: _ConeMaximizer,
+    g: np.ndarray,
+    v_lin: np.ndarray,
+    unit: int,
+    sign: float,
+    budget: int,
+) -> np.ndarray:
+    """Exact supremum over one true unit's quadratic cone at d = 1.
+
+    The linear block is residualized once: with Q the unit's three phi''
+    components, K = S_LL^-1 S_LQ, T = S_QQ - S_QL K and h = g_Q - g_L K,
+    the value is v_lin plus the gain of the quadratic block in the
+    T-metric. Budget 1 is the rank-one boundary (_rank1_gain_d1). Budget 2
+    is the whole 2x2 PSD cone, which is convex: when sign * T^-1 h is PSD
+    the unconstrained optimum h^T T^-1 h is feasible, otherwise the cone
+    projection lies on the rank-one boundary. No ridge: simulate_limit's
+    certificate makes T positive definite.
+    """
+    b = mx.basis
+    q_idx = [b.ddphi_index(unit, 0, 0), b.ddphi_index(unit, 0, 1), b.ddphi_index(unit, 1, 1)]
+    S_lq = mx.sigma[np.ix_(mx.lin, q_idx)]
+    K = np.linalg.solve(mx.S_ll, S_lq)
+    T = mx.sigma[np.ix_(q_idx, q_idx)] - S_lq.T @ K
+    T = 0.5 * (T + T.T)
+    h = g[:, q_idx] - g[:, mx.lin] @ K
+    gain = _rank1_gain_d1(h, T, sign)
+    if budget == 2:
+        q = np.linalg.solve(T, h.T).T
+        A = sign * q  # (A00, 2 A01, A11) of the unconstrained optimum
+        psd = (A[:, 0] >= 0) & (A[:, 2] >= 0) & (A[:, 0] * A[:, 2] >= 0.25 * A[:, 1] ** 2)
+        gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h, q)), gain)
+    return v_lin + gain
 
 
 def _angle_to_dirs(om: np.ndarray) -> np.ndarray:
@@ -693,6 +807,12 @@ def _optimize_partition_general(
     return best
 
 
+# Rows of one values_with_columns call in the greedy scan. Its temporaries
+# take about 1.5 KB per row at desk scale, so this caps them near 12 MB;
+# larger calls ran no faster.
+_SCAN_ROWS = 8192
+
+
 def _greedy_extra_columns(
     mx: _ConeMaximizer,
     g: np.ndarray,
@@ -703,34 +823,35 @@ def _greedy_extra_columns(
 
     Extra columns are sign-free, so each chosen column simply joins the
     draw's linear system; returns per-draw fixed columns (N, chosen, p).
+    Each step scores every candidate in both orientations, stacked along
+    the draw axis: block 2 j + s holds candidate j with sign + (s = 0) or
+    - (s = 1), and one call scores as many blocks as _SCAN_ROWS allows.
     """
     basis = mx.basis
     n_extra = len(basis.extra_w)
-    N = g.shape[0]
-    chosen = np.zeros((N, 0, basis.dim))
-    take = min(n_free, n_extra)
-    used = np.zeros((N, n_extra), dtype=bool)
-    for _ in range(take):
-        best_val = np.full(N, -np.inf)
-        best_j = np.zeros(N, dtype=int)
-        best_sign = np.ones(N)
-        for j in range(n_extra):
-            col = np.zeros(basis.dim)
-            col[basis.extra_index(j)] = 1.0
-            cols = np.concatenate([chosen, np.tile(col, (N, 1, 1))], axis=1)
-            # sign-free column: evaluate with both orientations
-            v_plus = mx.values_with_columns(g, cols, v_lin)
-            cols[:, -1, :] *= -1.0
-            v_minus = mx.values_with_columns(g, cols, v_lin)
-            val = np.where(used[:, j], -np.inf, np.maximum(v_plus, v_minus))
-            upd = val > best_val
-            best_val[upd] = val[upd]
-            best_j[upd] = j
-            best_sign[upd] = np.where(v_minus[upd] > v_plus[upd], -1.0, 1.0)
-        add = np.zeros((N, 1, basis.dim))
-        add[np.arange(N), 0, basis.core_dim + best_j] = best_sign
+    N, p = g.shape
+    chosen = np.zeros((N, 0, p))
+    used = np.zeros((n_extra, N), dtype=bool)
+    cand = np.zeros((n_extra, 2, p))
+    cand[np.arange(n_extra), 0, basis.core_dim + np.arange(n_extra)] = 1.0
+    cand[:, 1] = -cand[:, 0]
+    cand = cand.reshape(2 * n_extra, 1, p)
+    per_call = max(1, _SCAN_ROWS // N)
+    draws = np.arange(N)
+    for _ in range(min(n_free, n_extra)):
+        vals = np.empty((2 * n_extra, N))
+        for b0 in range(0, 2 * n_extra, per_call):
+            nb = min(per_call, 2 * n_extra - b0)
+            cols = np.concatenate([np.tile(chosen, (nb, 1, 1)), np.repeat(cand[b0:b0 + nb], N, axis=0)], axis=1)
+            out = mx.values_with_columns(np.tile(g, (nb, 1)), cols, np.tile(v_lin, nb))
+            vals[b0:b0 + nb] = out.reshape(nb, N)
+        vals = vals.reshape(n_extra, 2, N)
+        best_j = np.argmax(np.where(used, -np.inf, vals.max(axis=1)), axis=0)
+        v_plus, v_minus = vals[best_j, 0, draws], vals[best_j, 1, draws]
+        add = np.zeros((N, 1, p))
+        add[draws, 0, basis.core_dim + best_j] = np.where(v_minus > v_plus, -1.0, 1.0)
         chosen = np.concatenate([chosen, add], axis=1)
-        used[np.arange(N), best_j] = True
+        used[best_j, draws] = True
     return chosen
 
 
@@ -748,9 +869,14 @@ def simulate_limit(
 
     Per draw, a Gaussian vector g ~ N(0, sigma) is sampled and the
     supremum of (max(c^T g, 0))^2 / (c^T sigma c) is maximized over every
-    partition's cone of realizable coefficient vectors; the normalization
-    sits in the Rayleigh denominator so the scale of c is immaterial.
-    Deterministic given the seed (draw i uses the stream (seed, i)).
+    partition's cone of realizable coefficient vectors (ConeSpec); the
+    normalization sits in the Rayleigh denominator so the scale of c is
+    immaterial. Each partition goes to one solver, recorded per draw in
+    ``path`` for the winning partition: the linear block alone (with
+    greedily chosen extra phi columns on the extended index set); at d = 1
+    the closed forms for one true unit's rank-one or full PSD cone; and
+    otherwise the fallback searches that ``opt`` controls. Deterministic
+    given the seed (draw i uses the stream (seed, i)).
     """
     if opt is None:
         opt = ConeOptSettings()
@@ -794,27 +920,28 @@ def simulate_limit(
 
     partitions = enumerate_partitions(k, k0)
     per_part = np.empty((len(partitions), n_draws))
+    paths = []
     for pi, part in enumerate(partitions):
-        sizes = part.group_sizes()
-        quad_units = []
-        for i in range(1, k0 + 1):
-            budget = min(sizes[i - 1] - 1, d + 1)
-            quad_units.extend((i - 1, float(signs[i - 1])) for _ in range(budget))
+        cone = ConeSpec(part, gram.basis, signs)
+        quad_units = cone.quad_units()
         fixed = None
         if extended:
             n_free = k - part.total_units
             if n_free > 0:
                 fixed = _greedy_extra_columns(mx, g, v_lin, n_free)
-        if not quad_units and fixed is None:
-            per_part[pi] = v_lin
-        elif not quad_units:
-            per_part[pi] = mx.values_with_columns(g, fixed, v_lin)
+        if not quad_units:
+            paths.append("linear")
+            per_part[pi] = v_lin if fixed is None else mx.values_with_columns(g, fixed, v_lin)
+        elif d == 1 and fixed is None and len(set(quad_units)) == 1:
+            unit, sign = quad_units[0]
+            paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
+            per_part[pi] = _exact_partition_d1(mx, g, v_lin, unit, sign, len(quad_units))
         elif d == 1:
+            paths.append("search")
             per_part[pi] = _optimize_partition_d1(mx, g, v_lin, quad_units, opt, fixed)
         else:
-            per_part[pi] = _optimize_partition_general(
-                mx, g, v_lin, quad_units, opt, (seed, part.t), fixed
-            )
+            paths.append("search")
+            per_part[pi] = _optimize_partition_general(mx, g, v_lin, quad_units, opt, (seed, part.t), fixed)
     best_idx = np.argmax(per_part, axis=0)
     values = per_part[best_idx, np.arange(n_draws)]
     return LimitSample(
@@ -823,6 +950,6 @@ def simulate_limit(
         k0=k0,
         d=d,
         best_partition=[partitions[i].t for i in best_idx],
-        restarts_used=np.zeros(n_draws, dtype=int),
+        path=np.array(paths)[best_idx],
         extended=extended,
     )

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mlplr
+import mlplr.limit_law as limit_law
 from mlplr import (
     ConeOptSettings,
     ConeSpec,
@@ -20,7 +27,21 @@ from mlplr import (
     normalize_score,
     simulate_limit,
 )
-from mlplr.limit_law import extended_grid, load_gram, save_gram
+from mlplr.limit_law import (
+    _ConeMaximizer,
+    _direction_columns,
+    _exact_partition_d1,
+    _greedy_extra_columns,
+    extended_grid,
+    load_gram,
+    save_gram,
+)
+
+
+def _desk_draws(gram, n, seed):
+    factor = np.linalg.cholesky(gram.sigma)
+    p = gram.basis.dim
+    return np.stack([factor @ np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
 
 
 class TestPartitions:
@@ -195,6 +216,15 @@ class TestDeltaFeasible:
     def test_positively_spanning_triple(self):
         assert delta_feasible([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])])
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize is imported by delta_feasible alone, on first use."""
+        src = str(Path(mlplr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, mlplr; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestNormalizeScore:
     def _identity_gram(self):
@@ -336,8 +366,18 @@ class TestSimulateLimit:
         sample.to_csv(path, header_comment="config_hash=xyz seed=43")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
-        assert lines[1] == "value,best_partition,restarts"
+        assert lines[1] == "value,best_partition,path"
         assert len(lines) == 52
+        assert {line.rsplit(",", 1)[1] for line in lines[2:]} <= {"linear", "exact_rank1"}
+
+    def test_path_names_the_winning_partition_solver(self, desk_spec):
+        gram = gram_matrix_gh(desk_spec)
+        sample = simulate_limit(desk_spec, 3, gram, 300, seed=53)
+        solver = {(0, 1): "linear", (0, 2): "exact_rank1", (0, 3): "exact_psd"}
+        assert [solver[t] for t in sample.best_partition] == list(sample.path)
+        # the full PSD cone strictly beats its rank-one boundary on some
+        # draws, and ties go to the smaller partition
+        assert {"exact_rank1", "exact_psd"} <= set(sample.path)
 
     def test_extended_index_set_dominates(self, desk_spec, desk_box):
         """The appendix-variant index set adds free-unit phi terms, so on
@@ -348,8 +388,102 @@ class TestSimulateLimit:
         core = simulate_limit(desk_spec, 2, gram_core, 150, seed=47)
         ext = simulate_limit(desk_spec, 2, gram_ext, 150, seed=47, extended=True)
         assert ext.extended
-        # slack covers the inner angle search, which may settle on a
-        # different near-tied local maximum once extra columns change
-        # floating-point rounding
+        # slack covers the draws themselves: the extended Gram is singular
+        # to rounding, so its Cholesky factor carries a jitter that moves
+        # the core components of g (by up to 1.5e-5 in value here)
         assert np.all(ext.values >= core.values - 1e-3)
         assert np.mean(ext.values > core.values + 1e-6) > 0.2
+
+
+class TestExactConeD1:
+    """The d = 1 closed forms against a dense search over the columns the
+    fallback search would use, scored without a ridge."""
+
+    N = 6
+
+    @pytest.fixture(scope="class")
+    def setup(self, desk_spec):
+        gram = gram_matrix_gh(desk_spec)
+        lin = np.arange(gram.basis.n_linear)
+        g = _desk_draws(gram, self.N, seed=61)
+        mx = _ConeMaximizer(gram, lin)
+        return gram, g, mx.linear_values(g), mx, _ConeMaximizer(gram, lin, ridge=0.0)
+
+    @staticmethod
+    def _columns(gram, sign, n):
+        om = np.arange(n) * np.pi / n
+        return _direction_columns(gram.basis, 0, sign, np.stack([np.cos(om), np.sin(om)], axis=-1))
+
+    @staticmethod
+    def _check(exact, brute, resolution):
+        assert np.all(exact >= brute - 1e-9 * (1.0 + np.abs(brute)))
+        assert np.all(exact - brute <= resolution)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rank1_matches_dense_angle_search(self, setup, sign):
+        gram, g, v_lin, mx, plain = setup
+        n = 4096
+        cols = self._columns(gram, sign, n)
+        vals = plain.values_with_columns(
+            np.repeat(g, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n)
+        ).reshape(self.N, n)
+        best = np.argmax(vals, axis=1)
+        rows = np.arange(self.N)
+        # the maximum lies within one grid step of the best grid angle
+        resolution = np.maximum(
+            np.abs(vals[rows, best] - vals[rows, (best - 1) % n]),
+            np.abs(vals[rows, best] - vals[rows, (best + 1) % n]),
+        )
+        self._check(_exact_partition_d1(mx, g, v_lin, 0, sign, 1), vals.max(axis=1), resolution)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_psd_matches_dense_angle_pair_search(self, setup, sign):
+        gram, g, v_lin, mx, plain = setup
+        n = 256
+        cols = self._columns(gram, sign, n)
+        I, J = np.triu_indices(n, 1)  # equal angles give a singular system
+        pair_cols = np.stack([cols[I], cols[J]], axis=1)
+        brute = np.empty(self.N)
+        resolution = np.empty(self.N)
+        for d in range(self.N):
+            vals = plain.values_with_columns(np.tile(g[d], (len(I), 1)), pair_cols, np.full(len(I), v_lin[d]))
+            grid = np.full((n, n), np.nan)
+            grid[I, J] = vals
+            grid[J, I] = vals
+            i, j = I[np.argmax(vals)], J[np.argmax(vals)]
+            near = [grid[(i + a) % n, (j + b) % n] for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+            brute[d] = vals.max()
+            resolution[d] = np.nanmax(np.abs(brute[d] - np.array(near)))
+        exact = _exact_partition_d1(mx, g, v_lin, 0, sign, 2)
+        self._check(exact, brute, resolution)
+        assert np.all(exact >= _exact_partition_d1(mx, g, v_lin, 0, sign, 1))
+
+    @pytest.mark.parametrize("rows", [8192, 130])
+    def test_greedy_extra_columns_match_one_call_per_candidate(self, desk_spec, desk_box, monkeypatch, rows):
+        """The batched scan chooses what scoring one candidate and
+        orientation per call chooses, in one call per step or in several."""
+        monkeypatch.setattr(limit_law, "_SCAN_ROWS", rows)
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(1.0, 10.0)))
+        gram = gram_matrix_gh(desk_spec, basis=basis)
+        mx = _ConeMaximizer(gram, np.arange(basis.n_linear))
+        g = _desk_draws(gram, 40, seed=67)
+        v_lin = mx.linear_values(g)
+        N, p = g.shape
+        n_extra = len(basis.extra_w)
+        chosen = np.zeros((N, 0, p))
+        used = np.zeros((N, n_extra), dtype=bool)
+        for _ in range(2):
+            best_val = np.full(N, -np.inf)
+            add = np.zeros((N, 1, p))
+            for j in range(n_extra):
+                col = np.zeros((N, 1, p))
+                col[:, 0, basis.extra_index(j)] = 1.0
+                v_plus = mx.values_with_columns(g, np.concatenate([chosen, col], axis=1), v_lin)
+                v_minus = mx.values_with_columns(g, np.concatenate([chosen, -col], axis=1), v_lin)
+                val = np.where(used[:, j], -np.inf, np.maximum(v_plus, v_minus))
+                upd = val > best_val
+                best_val[upd] = val[upd]
+                add[upd] = np.where(v_minus > v_plus, -1.0, 1.0)[upd, None, None] * col[upd]
+            chosen = np.concatenate([chosen, add], axis=1)
+            used |= add[:, 0, basis.core_dim:] != 0
+        np.testing.assert_array_equal(_greedy_extra_columns(mx, g, v_lin, 2), chosen)
