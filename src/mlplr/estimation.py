@@ -2,9 +2,11 @@
 
 With Gaussian noise the MLE is a constrained least-squares fit; the
 supremum is approximated by multi-start projected L-BFGS with an Armijo
-backtracking line search along the projected arc. Gradients are analytic
-(one-layer backpropagation) and validated against finite differences in
-the test suite.
+backtracking line search along the projected arc. A trial point on the arc
+that is not a descent step (slope g.(cand - vec) >= 0) is rejected without
+evaluating the objective there. Gradients are analytic (one-layer
+backpropagation) and validated against finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .model import (
     Dataset,
     HiddenUnit,
     MlpParams,
+    _norm,
     _sigmoid,
     augment,
     project_vector,
@@ -119,7 +122,7 @@ def negloss_and_grad(vec: np.ndarray, Xa: np.ndarray, y: np.ndarray, sigma2: flo
     r = y - (beta + P @ a)
     f = 0.5 * float(r @ r) / sigma2
     grad = np.empty_like(vec)
-    grad[0] = -np.sum(r) / sigma2
+    grad[0] = -r.sum() / sigma2
     grad[1 : 1 + k] = -(P.T @ r) / sigma2
     DP = P * (1.0 - P)
     grad[1 + k :] = (-(a[:, None] * ((DP * r[:, None]).T @ Xa)) / sigma2).ravel()
@@ -148,7 +151,13 @@ def _optimize_single(
     box: ConstraintBox,
     config: FitConfig,
 ):
-    """One projected quasi-Newton run; returns (vec, f, converged, iters, f_trace)."""
+    """One projected quasi-Newton run; returns (vec, f, converged, iters, f_trace).
+
+    The Armijo search halves the step along the projected arc. The slope
+    of a trial point is known before the objective is, and a point with
+    slope >= 0 (or NaN) fails the test whatever the objective there, so
+    such points are rejected without evaluating it.
+    """
     vec = project_vector(np.asarray(vec0, dtype=float), k, d, box)
     f, g = negloss_and_grad(vec, Xa, y, sigma2, k, d)
     trace = [f]
@@ -157,7 +166,7 @@ def _optimize_single(
     rho: list[float] = []
     for it in range(config.max_iters):
         pg = vec - project_vector(vec - g, k, d, box)
-        if np.max(np.abs(pg)) <= config.grad_tol:
+        if np.abs(pg).max() <= config.grad_tol:
             return vec, f, True, it, trace
 
         # two-loop recursion
@@ -178,10 +187,11 @@ def _optimize_single(
         for _ in range(40):
             cand = project_vector(vec + step * direction, k, d, box)
             slope = g @ (cand - vec)
-            fc, gc = negloss_and_grad(cand, Xa, y, sigma2, k, d)
-            if slope < 0 and fc <= f + _ARMIJO * slope:
-                accepted = True
-                break
+            if slope < 0:
+                fc, gc = negloss_and_grad(cand, Xa, y, sigma2, k, d)
+                if fc <= f + _ARMIJO * slope:
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted:
             # quasi-Newton direction unusable here: projected steepest descent
@@ -200,7 +210,8 @@ def _optimize_single(
         s_vec = cand - vec
         y_vec = gc - g
         sy = float(s_vec @ y_vec)
-        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+        s_norm = _norm(s_vec)
+        if sy > 1e-10 * s_norm * _norm(y_vec):
             S.append(s_vec)
             Y.append(y_vec)
             rho.append(1.0 / sy)
@@ -208,14 +219,14 @@ def _optimize_single(
                 S.pop(0)
                 Y.pop(0)
                 rho.pop(0)
-        small_step = np.linalg.norm(s_vec) <= config.step_tol
+        small_step = s_norm <= config.step_tol
         vec, f, g = cand, fc, gc
         trace.append(f)
         if small_step:
             pg = vec - project_vector(vec - g, k, d, box)
-            return vec, f, bool(np.max(np.abs(pg)) <= config.grad_tol), it + 1, trace
+            return vec, f, bool(np.abs(pg).max() <= config.grad_tol), it + 1, trace
     pg = vec - project_vector(vec - g, k, d, box)
-    return vec, f, bool(np.max(np.abs(pg)) <= config.grad_tol), config.max_iters, trace
+    return vec, f, bool(np.abs(pg).max() <= config.grad_tol), config.max_iters, trace
 
 
 def fit_mle(

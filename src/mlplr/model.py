@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,13 @@ def stable_hash(payload: dict) -> str:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # sign-split form: never evaluates exp on a positive argument
+    # exp(-|t|) is exp(-t) for t >= 0 and exp(t) below, so this is the
+    # sign-split form 1/(1+exp(-t)), exp(t)/(1+exp(t)) operation for
+    # operation (-0.0 takes the first branch in both) without the masked
+    # gathers and scatters; exp never sees a positive argument
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def transfer_eval(t, order: int = 0):
@@ -227,15 +227,12 @@ class FeasibilityReport:
 
 
 def check_constraints(theta: MlpParams, box: ConstraintBox) -> FeasibilityReport:
-    w_slack = np.array([np.linalg.norm(u.w) - box.eta for u in theta.units])
-    amps = np.array([u.a for u in theta.units])
-    if box.positive_amplitudes:
-        a_slack = amps - box.eta
-    else:
-        a_slack = np.abs(amps) - box.eta
-    n_slack = box.M - np.linalg.norm(theta.flatten())
-    feasible = bool(np.all(w_slack >= 0) and np.all(a_slack >= 0) and n_slack >= 0)
-    return FeasibilityReport(feasible, w_slack, a_slack, float(n_slack))
+    k, d = theta.k, theta.input_dim
+    vec = theta.flatten()
+    amps = vec[1 : 1 + k]
+    a_slack = (amps if box.positive_amplitudes else np.abs(amps)) - box.eta
+    w_slack = _unit_norms(vec[1 + k :].reshape(k, d + 1)) - box.eta
+    return FeasibilityReport(feasible_vector(vec, k, d, box), w_slack, a_slack, box.M - _norm(vec))
 
 
 class ProjectionError(ValueError):
@@ -246,59 +243,103 @@ class ProjectionError(ValueError):
 _PUSH = 1.0 + 4e-15
 
 
-def _apply_lower_bounds(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> None:
+def _norm(vec: np.ndarray) -> float:
+    # np.linalg.norm's arithmetic for a vector (dot, then a correctly
+    # rounded square root) without its dispatch
+    return math.sqrt(vec.dot(vec))
+
+
+def _unit_norms(W: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(W, axis=1)'s arithmetic without its dispatch
+    return np.sqrt(np.add.reduce(W * W, axis=1))
+
+
+def _lower_ok(amps: np.ndarray, norms: np.ndarray, box: ConstraintBox) -> bool:
+    """Every amplitude (its absolute value when signs are free) and every
+    unit norm is at least eta.
+
+    A Python min over these few values costs a fraction of two NumPy
+    reductions. A NaN may go either way here: a vector holding one fails
+    the ball test, so it is never feasible.
+    """
+    a = amps if box.positive_amplitudes else np.abs(amps)
+    return min(a.tolist() + norms.tolist()) >= box.eta
+
+
+def _push_out(vec: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray) -> np.ndarray:
+    """Lower-bound pass, in place: push amplitudes, and the units whose norm
+    (given in norms) is below eta, out to eta. Returns the unit norms after
+    the pass."""
     amps = vec[1 : 1 + k]
     if box.positive_amplitudes:
-        np.clip(amps, box.eta, None, out=amps)
+        np.maximum(amps, box.eta, out=amps)
     else:
         small = np.abs(amps) < box.eta
         # zero amplitudes push to +eta (deterministic tie-break)
         amps[small] = np.where(amps[small] >= 0, box.eta, -box.eta)
     W = vec[1 + k :].reshape(k, d + 1)
-    norms = np.linalg.norm(W, axis=1)
-    for i in range(k):
-        if norms[i] < box.eta:
-            if norms[i] == 0.0:
+    pushed = False
+    for i, nrm in enumerate(norms.tolist()):
+        if nrm < box.eta:
+            pushed = True
+            if nrm == 0.0:
                 W[i] = 0.0
                 W[i, 0] = box.eta  # degenerate direction: first coordinate axis
             else:
-                W[i] *= box.eta / norms[i] * _PUSH
+                W[i] *= box.eta / nrm * _PUSH
+    return _unit_norms(W) if pushed else norms
+
+
+def _settle(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
+    """Lower-bound pass on vec, in place, where a bound fails; returns
+    whether vec is then feasible."""
+    amps = vec[1 : 1 + k]
+    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
+    if not _lower_ok(amps, norms, box):
+        norms = _push_out(vec, k, d, box, norms)
+        if not _lower_ok(amps, norms, box):
+            return False
+    return _norm(vec) <= box.M
 
 
 def feasible_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
-    """Constraint check on a flattened parameter vector."""
-    amps = vec[1 : 1 + k]
-    a_ok = np.all(amps >= box.eta) if box.positive_amplitudes else np.all(np.abs(amps) >= box.eta)
-    if not a_ok:
-        return False
-    W = vec[1 + k :].reshape(k, d + 1)
-    if np.any(np.linalg.norm(W, axis=1) < box.eta):
-        return False
-    return bool(np.linalg.norm(vec) <= box.M)
+    """Constraint check on a flattened parameter vector: the one feasibility
+    decision, which check_constraints and project_vector share."""
+    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
+    return _lower_ok(vec[1 : 1 + k], norms, box) and _norm(vec) <= box.M
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
-    """Flattened-vector form of project_to_box (the optimizer's hot path)."""
-    if feasible_vector(vec, k, d, box):
-        return vec
-    out = vec.copy()
-    _apply_lower_bounds(out, k, d, box)
-    nrm = np.linalg.norm(out)
+    """Flattened-vector form of project_to_box (the optimizer's hot path).
+
+    A feasible input is returned as the same object; otherwise the result
+    is a new array and vec is left as it was.
+    """
+    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
+    if _lower_ok(vec[1 : 1 + k], norms, box):
+        nrm = _norm(vec)
+        if nrm <= box.M:
+            return vec
+        base = vec  # the lower-bound pass would leave it as it is
+    else:
+        base = vec.copy()
+        norms = _push_out(base, k, d, box, norms)
+        nrm = _norm(base)
+        if nrm <= box.M and _lower_ok(base[1 : 1 + k], norms, box):
+            return base
+    # base is vec after one lower-bound pass and nrm its norm; both stages
+    # below scale it to a norm target and re-apply the lower bounds
     if nrm > box.M:
-        out *= box.M / nrm
-        _apply_lower_bounds(out, k, d, box)
-    if feasible_vector(out, k, d, box):
-        return out
+        out = base * (box.M / nrm)
+        if _settle(out, k, d, box):
+            return out
     # the re-applied lower bounds overshot M; each push-out adds at most
     # eta^2 to the squared norm, so a norm target of sqrt(M^2 - 2k eta^2)
     # leaves room for all of them
     slack2 = box.M**2 - 2 * k * box.eta**2
     if slack2 > 0:
-        out = vec.copy()
-        _apply_lower_bounds(out, k, d, box)
-        out *= np.sqrt(slack2) / np.linalg.norm(out)
-        _apply_lower_bounds(out, k, d, box)
-        if feasible_vector(out, k, d, box):
+        out = base * (math.sqrt(slack2) / nrm)
+        if _settle(out, k, d, box):
             return out
     raise ProjectionError(
         f"projection failed: eta={box.eta} and M={box.M} are mutually "
@@ -314,10 +355,10 @@ def project_to_box(theta: MlpParams, box: ConstraintBox) -> MlpParams:
     if needed and re-applies the per-unit lower bounds once. Feasible
     inputs are returned unchanged.
     """
-    if check_constraints(theta, box).feasible:
-        return theta
     k, d = theta.k, theta.input_dim
-    return MlpParams.unflatten(project_vector(theta.flatten(), k, d, box), k, d)
+    vec = theta.flatten()
+    out = project_vector(vec, k, d, box)
+    return theta if out is vec else MlpParams.unflatten(out, k, d)
 
 
 # ---------------------------------------------------------------------------

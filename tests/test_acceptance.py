@@ -9,6 +9,7 @@ Default desk configuration throughout: d=1, k0=1, theta0=(0.5, 1,
 (0.5, 1)), sigma2=1, standard normal inputs, eta=0.1, M=50.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -47,6 +48,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def _timed(key):
     def wrap(fn):
+        @functools.wraps(fn)  # pytest reads the fixture's arguments from the signature
         def inner(*args, **kwargs):
             t0 = time.time()
             out = fn(*args, **kwargs)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlplr.estimation
 from mlplr import (
     FitConfig,
     check_constraints,
@@ -116,6 +117,62 @@ class TestFitMle:
             fit = fit_mle(data, 1, desk_box, FitConfig(n_starts=20, seed=4))
             rms.append(np.sqrt(np.mean((mlp_forward_batch(fit.theta_hat, grid) - truth) ** 2)))
         assert np.mean(rms) <= 0.1
+
+
+class TestFitBitIdentity:
+    """An over-sized fit that stops on the norm bound is chaotic: a change
+    of one ulp anywhere in the objective, the projection or the line
+    search moves its supremum far. These values are the fit's outputs as
+    float.hex, recorded before the line search stopped evaluating
+    non-descent trial points and the projection and sigmoid were
+    streamlined; every change since kept them bit for bit. They were
+    recorded with NumPy 2.4 and its bundled OpenBLAS on x86-64; another
+    BLAS build may round the matrix products differently.
+    """
+
+    EXPECTED = {
+        3: (
+            "-0x1.166fe14f3e0c8p+8",
+            ["-0x1.18702e13933b4p+8", "-0x1.170b2e3d304edp+8", "-0x1.166fe14f3e0c9p+8"],
+            [30, 177, 300],
+            ["-0x1.3cbe89aa36a9ap+4", "0x1.27e4510113d94p+4", "0x1.b23978872c0ffp+0",
+             "0x1.544b1ef7273bbp+4", "-0x1.3dc33e5ff9695p+1", "-0x1.cef0f8cef5b22p+1",
+             "-0x1.afd10da51023bp+4", "-0x1.7613a6dd10d39p+4", "0x1.2cd2a9a889cb7p+1",
+             "0x1.974879b8f5893p+1"],
+            1234,
+        ),
+        5: (
+            "-0x1.0dcd10d4a2a7bp+8",
+            ["-0x1.11676b1fad594p+8", "-0x1.0dcd10d4a2a7bp+8", "-0x1.12f7c56bf3be3p+8"],
+            [181, 206, 300],
+            ["-0x1.186fb94127d6cp+3", "0x1.24401918a32b2p-1", "0x1.32e47c1e090b5p+3",
+             "0x1.4249cb30fcd0cp+3", "-0x1.6770f3e20dbf4p+2", "0x1.600a30958c8d8p+5",
+             "0x1.553497c624968p+3", "0x1.e130bf6b69f38p+2", "-0x1.fd31c12705e04p+2",
+             "-0x1.5268d115110b2p+2"],
+            1425,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_over_sized_fit_matches_recorded_bits(self, desk_spec, desk_box, monkeypatch, seed):
+        calls = []
+        objective = mlplr.estimation.negloss_and_grad
+
+        def counted(*args):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(mlplr.estimation, "negloss_and_grad", counted)
+        data = generate_dataset(desk_spec, 200, seed=seed)
+        fit = fit_mle(data, 3, desk_box, FitConfig(n_starts=3, seed=0, max_iters=300, grad_tol=1e-5))
+        loglik, per_start, iters, theta, evals = self.EXPECTED[seed]
+        assert fit.loglik.hex() == loglik
+        assert [v.hex() for v in fit.per_start_logliks] == per_start
+        assert fit.per_start_iters == iters
+        assert [v.hex() for v in fit.theta_hat.flatten()] == theta
+        # one evaluation per start plus those at descent trial points (3760
+        # and 3223 when every trial point was evaluated)
+        assert len(calls) == evals
 
 
 class TestProfileCurve:

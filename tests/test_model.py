@@ -19,6 +19,7 @@ from mlplr import (
     project_to_box,
     transfer_eval,
 )
+from mlplr.model import _sigmoid, feasible_vector, project_vector
 
 
 class TestTransferFunction:
@@ -52,6 +53,21 @@ class TestTransferFunction:
             assert np.all(np.abs(vals) <= 1.0)
         assert transfer_eval(1e4, 0) == 1.0
         assert transfer_eval(-1e4, 0) == 0.0
+
+    def test_sigmoid_matches_sign_split_bits(self):
+        """The exp(-|t|) form returns the sign-split form's bits, at -0.0,
+        subnormals, overflow and infinities as well."""
+        edges = [0.0, 5e-324, 1e-300, 1.0, 36.0, 709.0, 800.0, np.inf]
+        rng = np.random.default_rng(0)
+        t = np.array(edges + [-e for e in edges] + list(rng.normal(scale=30.0, size=998)))
+        pos = t >= 0
+        ref = np.empty_like(t)
+        ref[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        et = np.exp(t[~pos])
+        ref[~pos] = et / (1.0 + et)
+        assert _sigmoid(t).tobytes() == ref.tobytes()
+        assert _sigmoid(t.reshape(-1, 3)).tobytes() == ref.tobytes()
+        assert np.signbit(t[len(edges)])  # -0.0 is on the grid
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -193,6 +209,135 @@ class TestProjection:
         theta = MlpParams(0.0, [HiddenUnit(0.0, np.zeros(2)), HiddenUnit(0.0, np.zeros(2))])
         with pytest.raises(ProjectionError):
             project_to_box(theta, box)
+
+
+# Frozen copy of the projection as it was before its norms and bound checks
+# were streamlined; project_vector must return the same bits.
+def _frozen_apply_lower_bounds(vec, k, d, box):
+    amps = vec[1 : 1 + k]
+    if box.positive_amplitudes:
+        np.clip(amps, box.eta, None, out=amps)
+    else:
+        small = np.abs(amps) < box.eta
+        amps[small] = np.where(amps[small] >= 0, box.eta, -box.eta)
+    W = vec[1 + k :].reshape(k, d + 1)
+    norms = np.linalg.norm(W, axis=1)
+    for i in range(k):
+        if norms[i] < box.eta:
+            if norms[i] == 0.0:
+                W[i] = 0.0
+                W[i, 0] = box.eta
+            else:
+                W[i] *= box.eta / norms[i] * (1.0 + 4e-15)
+
+
+def _frozen_feasible(vec, k, d, box):
+    amps = vec[1 : 1 + k]
+    a_ok = np.all(amps >= box.eta) if box.positive_amplitudes else np.all(np.abs(amps) >= box.eta)
+    if not a_ok:
+        return False
+    W = vec[1 + k :].reshape(k, d + 1)
+    if np.any(np.linalg.norm(W, axis=1) < box.eta):
+        return False
+    return bool(np.linalg.norm(vec) <= box.M)
+
+
+def _frozen_project(vec, k, d, box):
+    if _frozen_feasible(vec, k, d, box):
+        return vec
+    out = vec.copy()
+    _frozen_apply_lower_bounds(out, k, d, box)
+    nrm = np.linalg.norm(out)
+    if nrm > box.M:
+        out *= box.M / nrm
+        _frozen_apply_lower_bounds(out, k, d, box)
+    if _frozen_feasible(out, k, d, box):
+        return out
+    slack2 = box.M**2 - 2 * k * box.eta**2
+    if slack2 > 0:
+        out = vec.copy()
+        _frozen_apply_lower_bounds(out, k, d, box)
+        out *= np.sqrt(slack2) / np.linalg.norm(out)
+        _frozen_apply_lower_bounds(out, k, d, box)
+        if _frozen_feasible(out, k, d, box):
+            return out
+    raise ProjectionError("projection failed")
+
+
+_BRANCHES = ("feasible", "ball", "amplitude", "short_w", "zero_w", "slack2")
+
+
+def _branch_case(branch, k, d, box, rng):
+    """A flattened vector that takes the named path through the projection."""
+    signs = np.ones(k) if box.positive_amplitudes else rng.choice([-1.0, 1.0], size=k)
+    amps = signs * rng.uniform(0.5, 3.0, size=k)
+    W = rng.standard_normal((k, d + 1))
+    W *= rng.uniform(0.5, 3.0, size=(k, 1)) / np.linalg.norm(W, axis=1, keepdims=True)
+    i = int(rng.integers(k))
+    if branch == "amplitude":
+        amps[i] = rng.uniform(-1.0, 1.0) * box.eta
+        amps[(i + 1) % k] = 0.0 if k > 1 else amps[i]
+    elif branch == "short_w":
+        W[i] *= rng.uniform(0.05, 0.95) * box.eta / np.linalg.norm(W[i])
+    elif branch == "zero_w":
+        W[i] = 0.0
+    vec = np.concatenate([[rng.normal()], amps, W.ravel()])
+    if branch in ("ball", "slack2"):
+        vec *= rng.uniform(1.5, 3.0) * box.M / np.linalg.norm(vec)
+    if branch == "slack2":
+        # amplitudes just under eta: shrinking to the ball drops them
+        # further, and pushing them back out overshoots M
+        vec[1 : 1 + k] = signs * box.eta * rng.uniform(0.9, 0.99, size=k)
+    return vec
+
+
+class TestProjectionMatchesFrozenCopy:
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("branch", _BRANCHES)
+    def test_same_bits_on_every_branch(self, branch, d, positive):
+        box = ConstraintBox(0.1, 10.0, positive_amplitudes=positive)
+        rng = np.random.default_rng([d, int(positive), _BRANCHES.index(branch)])
+        for trial in range(40):
+            k = 1 + trial % 3
+            vec = _branch_case(branch, k, d, box, rng)
+            before = vec.copy()
+            ref = _frozen_project(vec.copy(), k, d, box)
+            out = project_vector(vec, k, d, box)
+            assert out.tobytes() == ref.tobytes()
+            assert vec.tobytes() == before.tobytes()  # the input is never written
+            assert feasible_vector(out, k, d, box)
+            if branch == "feasible":
+                assert out is vec  # the traced benchmark counts no-ops by identity
+            else:
+                assert out is not vec
+            if branch == "slack2":
+                # the fallback aims at sqrt(M^2 - 2k eta^2), well inside the ball
+                assert np.linalg.norm(out) < box.M * (1 - 1e-6)
+
+    def test_infeasible_box_raises_like_the_frozen_copy(self):
+        box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
+        vec = np.zeros(7)
+        with pytest.raises(ProjectionError):
+            _frozen_project(vec.copy(), 2, 1, box)
+        with pytest.raises(ProjectionError):
+            project_vector(vec, 2, 1, box)
+
+    def test_check_constraints_agrees_with_its_slacks(self):
+        """One feasibility decision: check_constraints says feasible exactly
+        when every slack it reports is non-negative."""
+        box = ConstraintBox(0.1, 10.0)
+        rng = np.random.default_rng(5)
+        seen = set()
+        for trial in range(120):
+            branch = _BRANCHES[trial % len(_BRANCHES)]
+            k = 1 + trial % 3
+            vec = _branch_case(branch, k, 1, box, rng)
+            rep = check_constraints(MlpParams.unflatten(vec, k, 1), box)
+            slacks_ok = bool(np.all(rep.w_norm_slack >= 0) and np.all(rep.amplitude_slack >= 0) and rep.norm_slack >= 0)
+            assert rep.feasible == slacks_ok == feasible_vector(vec, k, 1, box)
+            seen.add(rep.feasible)
+        assert seen == {True, False}
 
 
 class TestDataset:
