@@ -41,7 +41,6 @@ from .limit_law import (
     check_h4,
     delta_feasible,
     enumerate_partitions,
-    eval_score_basis,
     gram_matrix,
     gram_matrix_gh,
     normalize_score,
@@ -50,17 +49,12 @@ from .limit_law import (
 from .model import (
     ConstraintBox,
     Dataset,
-    FeasibilityReport,
     HiddenUnit,
     MlpParams,
     ProjectionError,
     RegressionSpec,
-    TransferFunction,
-    check_constraints,
     generate_dataset,
-    mlp_forward,
     mlp_forward_batch,
-    project_to_box,
     transfer_eval,
 )
 from .selection import (
@@ -68,7 +62,7 @@ from .selection import (
     SelectionReport,
     penalty_value,
     select_architecture,
-    validate_schedule,
+    select_width,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,14 @@
 """Command-line harness.
 
 Subcommands: gen, fit, lr, select, limit, check-h4, gradcheck, experiment.
-Exit codes: 0 success, 2 configuration errors, 3 fit failures, 4
-limit-simulation failures.
+Exit codes:
+  0  success;
+  2  a configuration input (spec, box, fit config, schedule, dataset or
+     experiment config) cannot be read, parsed or validated;
+  3  a fit failed; for experiment, a replicate cell failed or the run
+     failed outside its limit-law stage;
+  4  the limit law failed: its Gram, certificate or simulation (limit,
+     check-h4, and experiment's limit-law stage).
 """
 
 from __future__ import annotations
@@ -12,11 +18,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .estimation import FitConfig, fit_mle
 from .harness import (
     ExperimentConfig,
+    LimitError,
+    default_gram,
     gradcheck,
     run_experiment,
     summarize,
@@ -49,34 +55,21 @@ class FitError(Exception):
     pass
 
 
-class LimitError(Exception):
-    pass
-
-
-def _load_json(path: str) -> dict:
+def _load(cls, path: str, **kwargs):
+    """Read one configuration input: a Dataset from CSV (kwargs go to
+    Dataset.from_csv), any other class from JSON through its from_dict.
+    Read, parse and validation errors become ConfigError."""
     try:
+        if cls is Dataset:
+            return Dataset.from_csv(path, **kwargs)
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_spec(path: str) -> RegressionSpec:
-    try:
-        return RegressionSpec.from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid spec {path}: {exc}") from exc
-
-
-def _load_box(path: str) -> ConstraintBox:
-    try:
-        return ConstraintBox.from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid box {path}: {exc}") from exc
+            return cls.from_dict(json.load(fh))
+    except (AttributeError, OSError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__} {path}: {exc}") from exc
 
 
 def _load_fit_config(path: str | None, seed: int | None) -> FitConfig:
-    cfg = FitConfig() if path is None else FitConfig.from_dict(_load_json(path))
+    cfg = FitConfig() if path is None else _load(FitConfig, path)
     if seed is not None:
         cfg.seed = seed
     return cfg
@@ -98,7 +91,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_gen(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(RegressionSpec, args.spec)
     seed = args.seed if args.seed is not None else 0
     data = generate_dataset(spec, args.n, seed)
     tag = stable_hash({"spec": spec.to_dict(), "n": args.n, "seed": seed})
@@ -109,14 +102,14 @@ def cmd_gen(args) -> int:
 
 def _sigma2_for(args) -> float:
     if args.spec is not None:
-        return _load_spec(args.spec).sigma2
+        return _load(RegressionSpec, args.spec).sigma2
     return args.sigma2
 
 
 def cmd_fit(args) -> int:
-    box = _load_box(args.box)
+    box = _load(ConstraintBox, args.box)
     cfg = _load_fit_config(args.fit_config, args.seed)
-    data = Dataset.from_csv(args.data, sigma2=_sigma2_for(args))
+    data = _load(Dataset, args.data, sigma2=_sigma2_for(args))
     try:
         result = fit_mle(data, args.k, box, cfg)
     except Exception as exc:
@@ -130,10 +123,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    spec = _load_spec(args.spec)
-    box = _load_box(args.box)
+    spec = _load(RegressionSpec, args.spec)
+    box = _load(ConstraintBox, args.box)
     cfg = _load_fit_config(args.fit_config, args.seed)
-    data = Dataset.from_csv(args.data, sigma2=spec.sigma2)
+    data = _load(Dataset, args.data, sigma2=spec.sigma2)
     try:
         result = fit_mle(data, args.k, box, cfg)
         stat = lr_statistic(result.loglik, spec, data)
@@ -154,14 +147,14 @@ def cmd_lr(args) -> int:
 
 
 def cmd_select(args) -> int:
-    spec = _load_spec(args.spec)
-    box = _load_box(args.box)
+    spec = _load(RegressionSpec, args.spec)
+    box = _load(ConstraintBox, args.box)
     cfg = _load_fit_config(args.fit_config, args.seed)
     if args.schedule is not None:
-        schedule = PenaltySchedule.from_dict(_load_json(args.schedule))
+        schedule = _load(PenaltySchedule, args.schedule)
     else:
         schedule = PenaltySchedule("bic_like", input_dim=spec.input_dim)
-    data = Dataset.from_csv(args.data, sigma2=spec.sigma2)
+    data = _load(Dataset, args.data, sigma2=spec.sigma2)
     try:
         report = select_architecture(data, args.k_max, box, cfg, schedule)
     except Exception as exc:
@@ -177,21 +170,20 @@ def cmd_select(args) -> int:
 
 
 def _build_gram(spec: RegressionSpec, args, basis: ScoreBasis | None = None):
-    mode = args.gram_mode
-    if mode == "auto":
-        mode = "gh" if (spec.input_dim == 1 and spec.input_law == "standard_normal") else "mc"
-    if mode == "gh":
-        return gram_matrix_gh(spec, basis=basis)
     seed = args.seed if args.seed is not None else 12345
-    return gram_matrix(spec, args.gram_draws, seed, basis=basis)
+    if args.gram_mode == "gh":
+        return gram_matrix_gh(spec, basis=basis)
+    if args.gram_mode == "mc":
+        return gram_matrix(spec, args.gram_draws, seed, basis=basis)
+    return default_gram(spec, args.gram_draws, seed, basis)
 
 
 def cmd_limit(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(RegressionSpec, args.spec)
     seed = args.seed if args.seed is not None else 0
     basis = None
     if args.extended_index_set:
-        box = _load_box(args.box) if args.box else ConstraintBox(0.1, 50.0)
+        box = _load(ConstraintBox, args.box) if args.box else ConstraintBox(0.1, 50.0)
         basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
     try:
         gram = _build_gram(spec, args, basis)
@@ -212,7 +204,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_check_h4(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(RegressionSpec, args.spec)
     seed = args.seed if args.seed is not None else 12345
     reports = {}
     modes = ["mc", "gh"] if args.mode == "both" else [args.mode]
@@ -248,7 +240,7 @@ def cmd_check_h4(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(RegressionSpec, args.spec)
     k = args.k if args.k is not None else spec.k0 + 1
     seed = args.seed if args.seed is not None else 0
     report = gradcheck(spec, k, n_draws=args.draws, seed=seed)
@@ -264,16 +256,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        config = ExperimentConfig.from_dict(_load_json(args.config))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
+    config = _load(ExperimentConfig, args.config)
     if args.seed is not None:
         config.base_seed = args.seed
     try:
         summary = run_experiment(config, args.out_dir, threads=args.threads)
+    except LimitError:
+        raise
     except Exception as exc:
-        raise LimitError(str(exc)) if "limit" in str(exc).lower() else FitError(str(exc))
+        raise FitError(str(exc)) from exc
     failed = summary["failed_cells"]
     print(f"experiment done: {failed} failed cells; outputs in {args.out_dir}")
     return EXIT_OK if failed == 0 else EXIT_FIT

@@ -24,13 +24,14 @@ from .limit_law import (
     ConeOptSettings,
     GramMatrix,
     LimitSample,
+    ScoreBasis,
     enumerate_partitions,
     gram_matrix,
     gram_matrix_gh,
     simulate_limit,
 )
 from .model import ConstraintBox, Dataset, RegressionSpec, generate_dataset, stable_hash
-from .selection import PenaltySchedule, penalty_value
+from .selection import PenaltySchedule, penalty_value, select_width
 
 # ---------------------------------------------------------------------------
 # Sample statistics
@@ -219,19 +220,15 @@ def _run_one(config: ExperimentConfig, replicate: int, n_index: int) -> list[Rep
         fit_cfg = replace(config.fit, seed=_cell_seed(config.base_seed, replicate, n_index + 10_000))
         profile = profile_lr_curve(data, k_max, config.box, fit_cfg)
         true_ll = conditional_loglik(config.spec.theta0, data)
-        t_vals = []
-        for entry in profile:
-            pen = penalty_value(config.schedule, n, entry.k)
-            t_vals.append(entry.sup_loglik - pen)
-        k_hat = 1 + int(np.argmax(t_vals))  # argmax takes the first (lowest k) on ties
+        penalties = [penalty_value(config.schedule, n, entry.k) for entry in profile]
+        k_hat, t_vals = select_width([entry.sup_loglik for entry in profile], penalties)
         cells = []
         for k in config.k_grid:
             entry = profile[k - 1]
             lr = lr_statistic(entry.sup_loglik, config.spec, data, true_loglik=true_ll)
             cells.append(
                 ReplicateCell(
-                    replicate, n, k, lr, entry.sup_loglik,
-                    penalty_value(config.schedule, n, k), t_vals[k - 1],
+                    replicate, n, k, lr, entry.sup_loglik, penalties[k - 1], t_vals[k - 1],
                     entry.fit.converged, k_hat,
                 )
             )
@@ -365,11 +362,16 @@ def expansion_decay(
 # ---------------------------------------------------------------------------
 
 
-def default_gram(spec: RegressionSpec, draws: int = 200_000, seed: int = 12345) -> GramMatrix:
-    """Gauss-Hermite Gram when exact quadrature applies, else Monte Carlo."""
+class LimitError(RuntimeError):
+    """The limit law failed: its Gram, certificate or simulation."""
+
+
+def default_gram(spec: RegressionSpec, draws: int = 200_000, seed: int = 12345, basis: ScoreBasis | None = None) -> GramMatrix:
+    """Gauss-Hermite Gram when exact quadrature applies (d = 1, standard
+    normal inputs), else a Monte Carlo Gram from draws inputs."""
     if spec.input_dim == 1 and spec.input_law == "standard_normal":
-        return gram_matrix_gh(spec)
-    return gram_matrix(spec, draws, seed)
+        return gram_matrix_gh(spec, basis=basis)
+    return gram_matrix(spec, draws, seed, basis=basis)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
@@ -377,7 +379,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> 
 
     Writes matrix.csv, selection.csv, summary.json and one limit_k*.csv
     per requested width (when limit_draws > 0). Returns a manifest with
-    the output paths and failure counts.
+    the output paths and failure counts. A failure of the Gram or of a
+    limit simulation is raised as LimitError.
     """
     os.makedirs(out_dir, exist_ok=True)
     matrix = run_replicates(config, threads=threads)
@@ -387,15 +390,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> 
 
     limit_samples: dict[int, LimitSample] = {}
     if config.limit_draws > 0:
-        gram = default_gram(config.spec)
-        for k in sorted(set(config.k_grid)):
-            if k < config.spec.k0:
-                continue
-            sample = simulate_limit(
-                config.spec, k, gram, config.limit_draws, config.base_seed, ConeOptSettings()
-            )
+        try:
+            gram = default_gram(config.spec)
+            for k in sorted(set(config.k_grid)):
+                if k < config.spec.k0:
+                    continue
+                limit_samples[k] = simulate_limit(
+                    config.spec, k, gram, config.limit_draws, config.base_seed, ConeOptSettings()
+                )
+        except Exception as exc:
+            raise LimitError(str(exc)) from exc
+        for k, sample in limit_samples.items():
             sample.to_csv(os.path.join(out_dir, f"limit_k{k}.csv"), header_comment=tag)
-            limit_samples[k] = sample
 
     summary: dict = {
         "config_hash": matrix.config_hash,

@@ -66,13 +66,6 @@ class Partition:
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.t, self.t[1:]))
 
-    def group_of(self, j: int) -> int:
-        """Group index (1-based) of fitted unit j <= t_k0."""
-        for i in range(1, self.k0 + 1):
-            if j <= self.t[i]:
-                return i
-        raise ValueError(f"unit {j} is not assigned by partition {self.t}")
-
 
 def enumerate_partitions(k: int, k0: int) -> list[Partition]:
     """All admissible t vectors, in lexicographic order."""
@@ -149,19 +142,6 @@ class ScoreBasis:
         if not 0 <= i < self.k0:
             raise ValueError(f"unit index {i} out of range 0..{self.k0 - 1}")
 
-    def labels(self) -> list[str]:
-        out = ["1"]
-        out += [f"phi_{i}" for i in range(self.k0)]
-        out += [f"x{l}*dphi_{i}" for i in range(self.k0) for l in range(self.d + 1)]
-        out += [
-            f"x{l}*x{m}*ddphi_{i}"
-            for i in range(self.k0)
-            for l in range(self.d + 1)
-            for m in range(l, self.d + 1)
-        ]
-        out += [f"phi(w_extra{j})" for j in range(len(self.extra_w))]
-        return out
-
 
 def eval_score_basis_batch(spec: RegressionSpec, X: np.ndarray, basis: ScoreBasis | None = None) -> np.ndarray:
     """B(x) for every row of X; shape (n, basis.dim)."""
@@ -187,14 +167,6 @@ def eval_score_basis_batch(spec: RegressionSpec, X: np.ndarray, basis: ScoreBasi
     for j, w in enumerate(basis.extra_w):
         out[:, basis.extra_index(j)] = transfer_eval(Xa @ np.asarray(w), 0)
     return out
-
-
-def eval_score_basis(spec: RegressionSpec, x, basis: ScoreBasis | None = None) -> np.ndarray:
-    """B(x) at a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a single input vector")
-    return eval_score_basis_batch(spec, x[None, :], basis)[0]
 
 
 def extended_grid(box: ConstraintBox, d: int, n_angles: int = 8, radii: tuple[float, ...] = (1.0, 2.0)) -> tuple[tuple[float, ...], ...]:
@@ -398,16 +370,6 @@ def normalize_score(c: np.ndarray, gram: GramMatrix) -> np.ndarray:
     return c / np.sqrt(nrm2)
 
 
-def quad_block_coefficients(A: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients of x~^T A x~ on the ordered pair components (l <= m)."""
-    A = np.asarray(A, dtype=float)
-    out = []
-    for l in range(d + 1):
-        for m in range(l, d + 1):
-            out.append(A[l, l] if l == m else 2.0 * A[l, m])
-    return np.array(out)
-
-
 @dataclass
 class ConeSpec:
     """One admissible cone: a partition plus per-group quadratic envelopes.
@@ -437,45 +399,6 @@ class ConeSpec:
             for i in range(1, self.partition.k0 + 1)
             for _ in range(self.rank_budget(i))
         ]
-
-    def coefficient_vector(
-        self,
-        gamma: float,
-        eps: np.ndarray,
-        zeta: np.ndarray,
-        A_list: list[np.ndarray | None],
-    ) -> np.ndarray:
-        """Flat basis coefficients of one element of the cone.
-
-        eps has shape (k0,), zeta (k0, d+1); A_list holds one PSD matrix
-        (or None) per group and is validated against the rank budget.
-        """
-        b = self.basis
-        c = np.zeros(b.dim)
-        c[b.const_index()] = gamma
-        for i in range(b.k0):
-            c[b.phi_index(i)] = eps[i]
-            for l in range(b.d + 1):
-                c[b.dphi_index(i, l)] = zeta[i][l]
-        for i in range(1, b.k0 + 1):
-            A = A_list[i - 1]
-            if A is None:
-                continue
-            A = np.asarray(A, dtype=float)
-            evals = np.linalg.eigvalsh(0.5 * (A + A.T))
-            if evals.min() < -1e-10:
-                raise ValueError(f"quadratic envelope of group {i} is not PSD")
-            if np.sum(evals > 1e-12 * max(evals.max(), 1.0)) > self.rank_budget(i):
-                raise ValueError(
-                    f"quadratic envelope of group {i} exceeds rank budget {self.rank_budget(i)}"
-                )
-            coeffs = self.signs[i - 1] * quad_block_coefficients(A, b.d)
-            pos = 0
-            for l in range(b.d + 1):
-                for m in range(l, b.d + 1):
-                    c[b.ddphi_index(i - 1, l, m)] += coeffs[pos]
-                    pos += 1
-        return c
 
 
 # ---------------------------------------------------------------------------

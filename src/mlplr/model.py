@@ -1,10 +1,13 @@
-"""One-hidden-layer MLP regression model: transfer function, parameters,
-constraint set and synthetic data generation.
+"""One-hidden-layer MLP regression model: the sigmoid transfer function,
+parameters, constraint set and synthetic data generation.
 
 The regression function is F(x) = beta + sum_i a_i * phi(w_i^T x~), where
-x~ = (1, x_1, ..., x_d) is the augmented input and w_i[0] is the unit bias.
-The feasible set is defined by ||w_i|| >= eta, an amplitude lower bound and
-||theta|| <= M (Euclidean norms on the flattened parameter vector).
+x~ = (1, x_1, ..., x_d) is the augmented input and w_i[0] is the unit bias;
+mlp_forward_batch evaluates it. The feasible set is defined by
+||w_i|| >= eta, an amplitude lower bound and ||theta|| <= M (Euclidean
+norms on the flattened parameter vector). Membership is decided, and
+points are mapped into the set, on that flattened vector, the form the
+optimizer works with (feasible_vector, project_vector).
 """
 
 from __future__ import annotations
@@ -66,20 +69,6 @@ def transfer_eval(t, order: int = 0):
         d2 = d1 * (1.0 - 2.0 * s)
         out = d2 * (1.0 - 2.0 * s) - 2.0 * d1 * d1
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class TransferFunction:
-    """Bounded transfer function with evaluators for orders 0..3."""
-
-    kind: str = "sigmoid"
-
-    def __post_init__(self):
-        if self.kind != "sigmoid":
-            raise ValueError(f"unsupported transfer function kind: {self.kind!r}")
-
-    def eval(self, t, order: int = 0):
-        return transfer_eval(t, order)
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +150,6 @@ def augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def mlp_forward(theta: MlpParams, x) -> float:
-    """Evaluate F(x) = beta + sum_i a_i phi(w_i^T x~) at a single input."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != theta.input_dim:
-        raise ValueError(f"input has shape {x.shape}, expected ({theta.input_dim},)")
-    xa = augment(x)
-    val = theta.beta
-    for u in theta.units:
-        val += u.a * transfer_eval(float(u.w @ xa), 0)
-    return float(val)
-
-
 def mlp_forward_batch(theta: MlpParams, X: np.ndarray) -> np.ndarray:
     """Vectorized forward pass over the rows of X (shape (n, d))."""
     X = np.asarray(X, dtype=float)
@@ -214,25 +191,6 @@ class ConstraintBox:
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintBox":
         return cls(float(d["eta"]), float(d["M"]), bool(d["positive_amplitudes"]))
-
-
-@dataclass
-class FeasibilityReport:
-    """Per-constraint slacks; the point is feasible iff every slack is >= 0."""
-
-    feasible: bool
-    w_norm_slack: np.ndarray  # ||w_i|| - eta, per unit
-    amplitude_slack: np.ndarray  # a_i - eta or |a_i| - eta, per unit
-    norm_slack: float  # M - ||theta||
-
-
-def check_constraints(theta: MlpParams, box: ConstraintBox) -> FeasibilityReport:
-    k, d = theta.k, theta.input_dim
-    vec = theta.flatten()
-    amps = vec[1 : 1 + k]
-    a_slack = (amps if box.positive_amplitudes else np.abs(amps)) - box.eta
-    w_slack = _unit_norms(vec[1 + k :].reshape(k, d + 1)) - box.eta
-    return FeasibilityReport(feasible_vector(vec, k, d, box), w_slack, a_slack, box.M - _norm(vec))
 
 
 class ProjectionError(ValueError):
@@ -303,17 +261,29 @@ def _settle(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
 
 
 def feasible_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
-    """Constraint check on a flattened parameter vector: the one feasibility
-    decision, which check_constraints and project_vector share."""
+    """Whether a flattened parameter vector lies in the feasible set: the
+    decision project_vector makes before it changes anything."""
     norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
     return _lower_ok(vec[1 : 1 + k], norms, box) and _norm(vec) <= box.M
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
-    """Flattened-vector form of project_to_box (the optimizer's hot path).
+    """Map a flattened parameter vector into the feasible set (the
+    optimizer's hot path).
+
+    The projection has two stages. Stage one clamps the amplitudes and
+    pushes each w_i radially out to norm eta (a zero w_i goes to eta times
+    the first coordinate axis). Stage two, if the result lies outside the
+    ball, rescales the whole vector to norm M and re-applies the lower
+    bounds once. When that pushes the norm past M again, the vector is
+    rescaled instead to norm sqrt(M^2 - 2k eta^2) before the lower bounds
+    are re-applied; this fallback lands strictly inside the ball, not on
+    its sphere. This is a heuristic map onto the feasible set, not the
+    Euclidean projection.
 
     A feasible input is returned as the same object; otherwise the result
-    is a new array and vec is left as it was.
+    is a new array and vec is left as it was. ProjectionError means eta
+    and M leave no room for k units.
     """
     norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
     if _lower_ok(vec[1 : 1 + k], norms, box):
@@ -345,20 +315,6 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
         f"projection failed: eta={box.eta} and M={box.M} are mutually "
         f"inconsistent for k={k}, d={d}"
     )
-
-
-def project_to_box(theta: MlpParams, box: ConstraintBox) -> MlpParams:
-    """Project a parameter vector onto the feasible set.
-
-    Stage one pushes each w_i radially out to norm eta and clamps the
-    amplitudes; stage two rescales the whole flattened vector to norm M
-    if needed and re-applies the per-unit lower bounds once. Feasible
-    inputs are returned unchanged.
-    """
-    k, d = theta.k, theta.input_dim
-    vec = theta.flatten()
-    out = project_vector(vec, k, d, box)
-    return theta if out is vec else MlpParams.unflatten(out, k, d)
 
 
 # ---------------------------------------------------------------------------

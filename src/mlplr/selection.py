@@ -15,33 +15,28 @@ import numpy as np
 from .estimation import FitConfig, profile_lr_curve
 from .model import ConstraintBox, Dataset
 
-SCHEDULE_KINDS = ("bic_like", "zero", "table")
+SCHEDULE_KINDS = ("bic_like", "zero")
 
 
 @dataclass
 class PenaltySchedule:
     """Penalty rule p_n(k).
 
-    bic_like needs the input dimension to size dim_k; table carries
-    explicit values keyed by (n, k) and is only defined on that grid.
-    The zero schedule exists to demonstrate why a penalty is necessary.
+    bic_like is dim_k / 2 * log n and needs the input dimension to size
+    dim_k. zero, which has no penalty at all, shows why one is needed: it
+    selects the largest width up to optimizer slack.
     """
 
     kind: str = "bic_like"
     input_dim: int | None = None
-    table: dict | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; choose from {SCHEDULE_KINDS}")
         if self.kind == "bic_like" and self.input_dim is None:
             raise ValueError("bic_like schedule needs input_dim")
-        if self.kind == "table" and not self.table:
-            raise ValueError("table schedule needs a non-empty table")
 
     def to_dict(self) -> dict:
-        if self.kind == "table":
-            raise ValueError("table schedules are in-process only, not serializable")
         d = {"kind": self.kind}
         if self.input_dim is not None:
             d["input_dim"] = self.input_dim
@@ -58,43 +53,18 @@ def penalty_value(schedule: PenaltySchedule, n: int, k: int) -> float:
     if schedule.kind == "bic_like":
         dim_k = k * (schedule.input_dim + 2) + 1
         return 0.5 * dim_k * float(np.log(n))
-    if schedule.kind == "zero":
-        return 0.0
-    try:
-        return float(schedule.table[(n, k)])
-    except KeyError:
-        raise KeyError(f"table schedule has no entry for (n={n}, k={k})") from None
+    return 0.0
 
 
-def validate_schedule(
-    schedule: PenaltySchedule,
-    k_max: int,
-    n_grid: tuple[int, ...] = (100, 10_000, 1_000_000),
-) -> tuple[bool, list[str]]:
-    """Check the consistency conditions on the sampled n grid.
+def select_width(sup_logliks, penalties) -> tuple[int, list[float]]:
+    """The selection rule, over widths k = 1, 2, ... in order.
 
-    The divergence of the gaps and the vanishing of p_n(k)/n are
-    asymptotic statements; for a black-box schedule they can only be
-    probed on a finite grid, which is what this does.
+    T_n(k) = sup loglik(k) - p_n(k); returns the k maximizing it and the
+    T_n values. Ties resolve to the smallest k (parsimony; exact ties
+    occur on noiseless data where the suprema coincide).
     """
-    problems: list[str] = []
-    for n in n_grid:
-        vals = [penalty_value(schedule, n, k) for k in range(1, k_max + 1)]
-        for k in range(1, k_max):
-            if not vals[k] > vals[k - 1]:
-                problems.append(f"p_n not strictly increasing in k at n={n}, k={k} -> {k + 1}")
-    for k2 in range(1, k_max + 1):
-        for k1 in range(k2 + 1, k_max + 1):
-            gaps = [
-                penalty_value(schedule, n, k1) - penalty_value(schedule, n, k2) for n in n_grid
-            ]
-            if any(b <= a for a, b in zip(gaps, gaps[1:])):
-                problems.append(f"gap p_n({k1}) - p_n({k2}) does not grow along the n grid")
-    for k in range(1, k_max + 1):
-        ratios = [penalty_value(schedule, n, k) / n for n in n_grid]
-        if any(b >= a for a, b in zip(ratios, ratios[1:])):
-            problems.append(f"p_n({k})/n does not shrink along the n grid")
-    return (not problems, problems)
+    t_vals = [sup - pen for sup, pen in zip(sup_logliks, penalties)]
+    return 1 + int(np.argmax(t_vals)), t_vals
 
 
 @dataclass
@@ -122,22 +92,14 @@ def select_architecture(
     fit_config: FitConfig,
     schedule: PenaltySchedule,
 ) -> SelectionReport:
-    """Maximize T_n(k) = sup loglik - p_n(k) over k = 1 .. k_max.
-
-    Ties resolve to the smallest k (parsimony; exact ties occur on
-    noiseless data where the suprema coincide).
-    """
+    """Maximize T_n(k) = sup loglik - p_n(k) over k = 1 .. k_max
+    (select_width)."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     profile = profile_lr_curve(data, k_max, box, fit_config)
-    per_k = []
-    converged = []
-    best_k, best_t = None, -np.inf
-    for entry in profile:
-        pen = penalty_value(schedule, data.n, entry.k)
-        t_n = entry.sup_loglik - pen
-        per_k.append((entry.k, entry.sup_loglik, pen, t_n))
-        converged.append(entry.fit.converged)
-        if t_n > best_t:
-            best_k, best_t = entry.k, t_n
-    return SelectionReport(per_k, best_k, data.n, converged)
+    penalties = [penalty_value(schedule, data.n, entry.k) for entry in profile]
+    k_hat, t_vals = select_width([entry.sup_loglik for entry in profile], penalties)
+    per_k = [
+        (entry.k, entry.sup_loglik, pen, t_n) for entry, pen, t_n in zip(profile, penalties, t_vals)
+    ]
+    return SelectionReport(per_k, k_hat, data.n, [entry.fit.converged for entry in profile])

@@ -62,6 +62,25 @@ class TestGenFitLr:
         code = run(["gen", "--spec", workdir / "bad.json", "--n", 10, "--out-dir", workdir])
         assert code == 2
 
+    def test_invalid_box_is_config_error(self, workdir):
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "bad_box.json").write_text(json.dumps({"eta": 2.0, "M": 1.0, "positive_amplitudes": True}))
+        code = run(["lr", "--data", workdir / "data.csv", "--spec", workdir / "spec.json",
+                    "--box", workdir / "bad_box.json", "--k", 1, "--out-dir", workdir])
+        assert code == 2
+
+    def test_invalid_fit_config_is_config_error(self, workdir):
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "bad_fit.json").write_text(json.dumps({"n_starts": 0}))
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--fit-config", workdir / "bad_fit.json", "--out-dir", workdir])
+        assert code == 2
+
+    def test_missing_dataset_is_config_error(self, workdir):
+        code = run(["fit", "--data", workdir / "missing.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--out-dir", workdir])
+        assert code == 2
+
 
 class TestSelectAndLimit:
     def test_select(self, workdir):
@@ -104,6 +123,16 @@ class TestSelectAndLimit:
         )
         assert code == 0
 
+    def test_invalid_schedule_is_config_error(self, workdir):
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "bad_schedule.json").write_text(json.dumps({"kind": "nonsense"}))
+        code = run(
+            ["select", "--data", workdir / "data.csv", "--spec", workdir / "spec.json",
+             "--box", workdir / "box.json", "--k-max", 2, "--schedule", workdir / "bad_schedule.json",
+             "--out-dir", workdir]
+        )
+        assert code == 2
+
     def test_gradcheck(self, workdir):
         code = run(
             ["gradcheck", "--spec", workdir / "spec.json", "--draws", 5,
@@ -141,6 +170,28 @@ class TestExperiment:
         assert summary["config_hash"]
         # reproducibility marker embedded in every CSV
         assert (out / "matrix.csv").read_text().startswith("# config_hash=")
+
+    def test_limit_law_failure_is_exit_4(self, workdir, desk_box):
+        """Two identical true units fail the linear-independence certificate
+        in the limit-law stage, after the replicate fits succeed."""
+        unit = {"a": 1.0, "w": [0.5, 1.0]}
+        spec = {"theta0": {"beta": 0.5, "units": [unit, unit]}, "sigma2": 1.0, "input_dim": 1}
+        config = {
+            "spec": spec,
+            "box": desk_box.to_dict(),
+            "fit": {"n_starts": 1, "seed": 0, "max_iters": 50},
+            "schedule": {"kind": "bic_like", "input_dim": 1},
+            "n_grid": [30],
+            "k_grid": [2],
+            "replicates": 1,
+            "base_seed": 9,
+            "limit_draws": 10,
+        }
+        (workdir / "exp.json").write_text(json.dumps(config))
+        out = workdir / "results"
+        assert run(["experiment", "--config", workdir / "exp.json", "--out-dir", out]) == 4
+        header, row = (out / "matrix.csv").read_text().splitlines()[1:]
+        assert dict(zip(header.split(","), row.split(",")))["error"] == ""  # the fit succeeded
 
     def test_invalid_config_is_exit_2(self, workdir):
         (workdir / "exp.json").write_text(json.dumps({"spec": {}}))

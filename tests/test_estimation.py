@@ -4,7 +4,6 @@ import pytest
 import mlplr.estimation
 from mlplr import (
     FitConfig,
-    check_constraints,
     conditional_loglik,
     fit_mle,
     generate_dataset,
@@ -12,7 +11,7 @@ from mlplr import (
     profile_lr_curve,
 )
 from mlplr.estimation import loglik_constant, negloss_and_grad
-from mlplr.model import augment
+from mlplr.model import augment, feasible_vector
 
 
 class TestObjectiveGradient:
@@ -67,7 +66,8 @@ class TestFitMle:
     def test_estimate_is_feasible(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 80, seed=7)
         fit = fit_mle(data, 2, desk_box, FitConfig(n_starts=4, seed=1))
-        assert check_constraints(fit.theta_hat, desk_box).feasible
+        theta = fit.theta_hat
+        assert feasible_vector(theta.flatten(), theta.k, theta.input_dim, desk_box)
 
     def test_loglik_field_matches_conditional_loglik(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 80, seed=7)

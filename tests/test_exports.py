@@ -1,0 +1,79 @@
+"""Every mlplr name the acceptance suite and the benchmark use resolves.
+
+The tier-1 command runs with --continue-on-collection-errors, so a name
+trimmed from the package would turn the whole acceptance file into one
+collection error instead of a failing test. This reads the imports, the
+dotted ``mlplr.`` references and the (owner, "attribute") pairs the span
+tracer wraps from those files, without running them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _dotted(node: ast.Attribute) -> str | None:
+    parts = [node.attr]
+    while isinstance(node.value, ast.Attribute):
+        node = node.value
+        parts.append(node.attr)
+    if isinstance(node.value, ast.Name) and node.value.id == "mlplr":
+        return ".".join(["mlplr", *reversed(parts)])
+    return None
+
+
+def _references(path: Path) -> set[str]:
+    """Dotted names: mlplr.<module>.<name> for each imported name, every
+    attribute chain that starts at the name mlplr, and owner.attribute
+    for each (mlplr owner, "attribute") tuple."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "mlplr":
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names if alias.name.split(".")[0] == "mlplr")
+        elif isinstance(node, ast.Attribute) and (name := _dotted(node)) is not None:
+            out.add(name)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            # (owner, "attribute", ...) pairs, as in perfbench/spans.py BOUNDARIES
+            owner, attr = node.elts[:2]
+            base = "mlplr" if isinstance(owner, ast.Name) and owner.id == "mlplr" else None
+            if isinstance(owner, ast.Attribute):
+                base = _dotted(owner)
+            if base and isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                out.add(f"{base}.{attr.value}")
+    return out
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=1):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[: i + 1]))
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_mlplr_names_resolve(path):
+    missing = sorted(name for name in _references(path) if not _resolves(name))
+    assert not missing, f"{path.name} uses names mlplr does not define: {missing}"
+
+
+def test_the_guard_sees_the_acceptance_imports():
+    refs = _references(ROOT / "tests" / "test_acceptance.py")
+    assert {"mlplr.simulate_limit", "mlplr.run_replicates", "mlplr.limit_law.extended_grid"} <= refs
+    assert not _resolves("mlplr.project_to_box")
+    spans = _references(ROOT / "perfbench" / "spans.py")
+    assert {"mlplr.harness.penalty_value", "mlplr.limit_law._ConeMaximizer.values_with_columns"} <= spans

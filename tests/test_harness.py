@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from mlplr import (
     FitConfig,
     PenaltySchedule,
     expansion_decay,
+    generate_dataset,
     ks_distance,
     run_replicates,
+    select_architecture,
     summarize,
 )
 from mlplr.harness import _cell_seed
@@ -142,6 +146,19 @@ class TestRunReplicates:
         sel = (tmp_path / "selection.csv").read_text().splitlines()
         assert sel[1] == "replicate,n,k_hat,T_1,T_2"
         assert len(sel) == 2 + 3
+
+    def test_cell_selects_like_select_architecture(self, desk_spec, desk_box):
+        """A replicate cell applies the selection rule that
+        select_architecture applies, to the same dataset and fit seed."""
+        config = self._config(desk_spec, desk_box, n_grid=[60, 80], k_grid=[1, 2, 3], fit=FitConfig(n_starts=2, seed=0))
+        matrix = run_replicates(config)
+        for ni, n in enumerate(config.n_grid):
+            data = generate_dataset(desk_spec, n, _cell_seed(config.base_seed, 0, ni))
+            fit = replace(config.fit, seed=_cell_seed(config.base_seed, 0, ni + 10_000))
+            report = select_architecture(data, 3, desk_box, fit, config.schedule)
+            cells = [c for c in matrix.cells if c.n == n]
+            assert [c.k_hat for c in cells] == [report.k_hat] * 3
+            assert [(c.k, c.sup_loglik, c.penalty, c.t_n) for c in cells] == report.per_k
 
     def test_cell_seeds_are_distinct(self):
         seeds = {_cell_seed(1, r, ni) for r in range(50) for ni in range(3)}

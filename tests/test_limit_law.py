@@ -21,7 +21,6 @@ from mlplr import (
     check_h4,
     delta_feasible,
     enumerate_partitions,
-    eval_score_basis,
     gram_matrix,
     gram_matrix_gh,
     normalize_score,
@@ -32,6 +31,7 @@ from mlplr.limit_law import (
     _direction_columns,
     _exact_partition_d1,
     _greedy_extra_columns,
+    eval_score_basis_batch,
     extended_grid,
     load_gram,
     save_gram,
@@ -69,7 +69,6 @@ class TestPartitions:
         assert list(p.group(1)) == [1, 2]
         assert list(p.group(2)) == [3, 4, 5]
         assert p.group_sizes() == (2, 3)
-        assert p.group_of(4) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,13 +98,12 @@ class TestScoreBasis:
                 for m in range(l, d + 1)
             ]
             assert sorted(seen) == list(range(basis.dim))
-            assert len(basis.labels()) == basis.dim
 
     def test_values_at_zero_weights(self):
         """phi(0)=1/2, phi'(0)=1/4, phi''(0)=0 show up in the right slots."""
         theta0 = MlpParams(0.0, [HiddenUnit(1.0, np.zeros(2))])
         spec = RegressionSpec(theta0, sigma2=1.0, input_dim=1)
-        vec = eval_score_basis(spec, np.zeros(1))
+        vec = eval_score_basis_batch(spec, np.zeros((1, 1)))[0]
         basis = ScoreBasis(1, 1)
         assert vec[basis.const_index()] == 1.0
         assert vec[basis.phi_index(0)] == 0.5
@@ -114,8 +112,7 @@ class TestScoreBasis:
 
     def test_constant_component_always_one(self, desk_spec):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert eval_score_basis(desk_spec, rng.standard_normal(1))[0] == 1.0
+        assert np.all(eval_score_basis_batch(desk_spec, rng.standard_normal((10, 1)))[:, 0] == 1.0)
 
 
 class TestGramMatrix:
@@ -259,40 +256,52 @@ class TestNormalizeScore:
 
 class TestConeSpec:
     def test_singleton_groups_forbid_quadratics(self, desk_spec):
-        basis = ScoreBasis(1, 1)
-        cone = ConeSpec(Partition((0, 1)), basis, np.array([1.0]))
+        cone = ConeSpec(Partition((0, 1)), ScoreBasis(1, 1), np.array([1.0]))
         assert cone.rank_budget(1) == 0
-        with pytest.raises(ValueError):
-            cone.coefficient_vector(1.0, np.zeros(1), np.zeros((1, 2)), [np.eye(2)])
-        c = cone.coefficient_vector(1.0, np.zeros(1), np.zeros((1, 2)), [None])
-        assert c[basis.const_index()] == 1.0
+        assert cone.quad_units() == []
 
     def test_rank_budget_enforced(self):
+        """A group of m units admits rank m - 1, capped at d + 1; each
+        admissible rank-one direction is one quadratic column, whose
+        coefficients on the pair components double the off-diagonal."""
         basis = ScoreBasis(1, 1)
-        cone = ConeSpec(Partition((0, 2)), basis, np.array([1.0]))
-        assert cone.rank_budget(1) == 1
-        u = np.array([1.0, 2.0])
-        c = cone.coefficient_vector(0.0, np.zeros(1), np.zeros((1, 2)), [np.outer(u, u)])
+        budgets = [ConeSpec(Partition((0, m)), basis, np.array([1.0])).rank_budget(1) for m in (2, 3, 4)]
+        assert budgets == [1, 2, 2]
+        assert ConeSpec(Partition((0, 3)), basis, np.array([-1.0])).quad_units() == [(0, -1.0), (0, -1.0)]
+        two = ScoreBasis(2, 2)
+        cone = ConeSpec(Partition((0, 1, 4)), two, np.array([1.0, 1.0]))
+        assert (cone.rank_budget(1), cone.rank_budget(2)) == (0, 2)
+        assert cone.quad_units() == [(1, 1.0), (1, 1.0)]
+        c = _direction_columns(basis, 0, 1.0, np.array([1.0, 2.0]))
         assert c[basis.ddphi_index(0, 0, 0)] == 1.0
         assert c[basis.ddphi_index(0, 0, 1)] == 4.0  # off-diagonal doubled
         assert c[basis.ddphi_index(0, 1, 1)] == 4.0
-        with pytest.raises(ValueError):
-            cone.coefficient_vector(0.0, np.zeros(1), np.zeros((1, 2)), [np.eye(2)])
+        assert np.count_nonzero(c) == 3
 
     def test_psd_enforced(self):
-        cone = ConeSpec(Partition((0, 3)), ScoreBasis(1, 1), np.array([1.0]))
-        with pytest.raises(ValueError):
-            cone.coefficient_vector(0.0, np.zeros(1), np.zeros((1, 2)), [np.diag([1.0, -1.0])])
+        """A direction column is sg * u u^T on the quadratic block: PSD for a
+        positive sign, negative semi-definite for a negative one."""
+        basis = ScoreBasis(1, 2)
+        rng = np.random.default_rng(2)
+        pairs = [(l, m) for l in range(3) for m in range(l, 3)]
+        for sign in (1.0, -1.0):
+            for u in rng.standard_normal((20, 3)):
+                c = _direction_columns(basis, 0, sign, u)
+                A = np.zeros((3, 3))
+                for l, m in pairs:
+                    A[l, m] = A[m, l] = c[basis.ddphi_index(0, l, m)] / (1.0 if l == m else 2.0)
+                np.testing.assert_allclose(A, sign * np.outer(u, u), rtol=1e-14)
+                assert sign * np.linalg.eigvalsh(A).min() >= -1e-12
 
     def test_rayleigh_scale_invariance(self, desk_spec):
         """The normalized score is what enters the supremum, so scaling a
         coefficient vector by any positive constant changes nothing."""
         gram = gram_matrix_gh(desk_spec)
-        cone = ConeSpec(Partition((0, 2)), ScoreBasis(1, 1), np.array([1.0]))
+        basis = gram.basis
         rng = np.random.default_rng(9)
         g = rng.standard_normal(7)
-        u = rng.standard_normal(2)
-        c = cone.coefficient_vector(0.4, rng.standard_normal(1), rng.standard_normal((1, 2)), [np.outer(u, u)])
+        c = _direction_columns(basis, 0, 1.0, rng.standard_normal(2))
+        c[: basis.n_linear] = rng.standard_normal(basis.n_linear)
         val = max(c @ g, 0.0) ** 2 / (c @ gram.sigma @ c)
         val_scaled = max(3.7 * c @ g, 0.0) ** 2 / (3.7 * c @ gram.sigma @ c * 3.7)
         np.testing.assert_allclose(val_scaled, val, rtol=1e-12)

@@ -7,7 +7,7 @@ from mlplr import (
     generate_dataset,
     penalty_value,
     select_architecture,
-    validate_schedule,
+    select_width,
 )
 
 
@@ -32,12 +32,6 @@ class TestPenaltyValue:
         for n in (10, 100, 10_000):
             assert penalty_value(sched, n, 3) > penalty_value(sched, n, 2)
 
-    def test_table_schedule(self):
-        sched = PenaltySchedule("table", table={(100, 1): 1.0, (100, 2): 3.0})
-        assert penalty_value(sched, 100, 2) == 3.0
-        with pytest.raises(KeyError):
-            penalty_value(sched, 200, 1)
-
     def test_input_validation(self):
         sched = PenaltySchedule("bic_like", input_dim=1)
         with pytest.raises(ValueError):
@@ -51,19 +45,39 @@ class TestPenaltyValue:
 
 
 class TestValidateSchedule:
+    """The consistency conditions on a schedule, probed on a sampled n
+    grid: p_n(k) increasing in k, gaps growing in n, p_n(k)/n shrinking."""
+
+    N_GRID = (100, 10_000, 1_000_000)
+
+    def _values(self, sched):
+        return np.array([[penalty_value(sched, n, k) for k in (1, 2, 3)] for n in self.N_GRID])
+
     def test_bic_like_passes(self):
-        ok, problems = validate_schedule(PenaltySchedule("bic_like", input_dim=1), k_max=3)
-        assert ok, problems
+        pen = self._values(PenaltySchedule("bic_like", input_dim=1))
+        assert np.all(np.diff(pen, axis=1) > 0)
+        assert np.all(np.diff(pen[:, 1:] - pen[:, :1], axis=0) > 0)
+        assert np.all(np.diff(pen / np.array(self.N_GRID)[:, None], axis=0) < 0)
 
     def test_zero_schedule_fails(self):
-        ok, problems = validate_schedule(PenaltySchedule("zero"), k_max=3)
-        assert not ok
-        assert problems
+        pen = self._values(PenaltySchedule("zero"))
+        assert not np.any(np.diff(pen, axis=1) > 0)  # flat in k: no gap to grow
 
-    def test_shrinking_gap_fails(self):
-        table = {(n, k): k * 10.0 / np.log(n) for n in (100, 10_000, 1_000_000) for k in (1, 2, 3)}
-        ok, problems = validate_schedule(PenaltySchedule("table", table=table), k_max=3)
-        assert not ok
+
+class TestSelectWidth:
+    """The selection rule on fixed arrays: no fits."""
+
+    def test_argmax_of_penalized_suprema(self):
+        k_hat, t_vals = select_width([-10.0, -4.0, -3.5], [1.0, 2.0, 3.0])
+        assert t_vals == [-11.0, -6.0, -6.5]
+        assert k_hat == 2
+
+    def test_exact_ties_go_to_the_smallest_k(self):
+        assert select_width([-5.0, -4.0, -3.0, -2.0], [0.0, 1.0, 2.0, 3.0])[0] == 1
+        assert select_width([-9.0, -4.0, -3.0, -3.0], [0.0, 1.0, 2.0, 2.0])[0] == 2
+
+    def test_single_width(self):
+        assert select_width([-7.0], [3.0]) == (1, [-10.0])
 
 
 class TestSelectArchitecture:
@@ -93,14 +107,18 @@ class TestSelectArchitecture:
             assert t_n == sup - pen
             assert pen == penalty_value(PenaltySchedule("bic_like", input_dim=1), data.n, k)
 
-    def test_constant_shift_leaves_k_hat_unchanged(self, desk_spec, desk_box):
-        data = generate_dataset(desk_spec, 150, seed=3)
-        cfg = FitConfig(n_starts=4, seed=1)
-        base_table = {(150, k): penalty_value(PenaltySchedule("bic_like", input_dim=1), 150, k) for k in (1, 2, 3)}
-        shifted = {key: v + 17.5 for key, v in base_table.items()}
-        r1 = select_architecture(data, 3, desk_box, cfg, PenaltySchedule("table", table=base_table))
-        r2 = select_architecture(data, 3, desk_box, cfg, PenaltySchedule("table", table=shifted))
-        assert r1.k_hat == r2.k_hat
+    def test_constant_shift_leaves_k_hat_unchanged(self):
+        """Adding one constant to every p_n(k) moves each T_n(k) by the
+        same amount, so k_hat stays (on fixed suprema, no fits)."""
+        rng = np.random.default_rng(4)
+        sched = PenaltySchedule("bic_like", input_dim=1)
+        for n in (50, 150, 2000):
+            base = [penalty_value(sched, n, k) for k in (1, 2, 3, 4)]
+            for _ in range(50):
+                sups = list(-n + rng.normal(scale=5.0, size=4).cumsum())
+                k_hat = select_width(sups, base)[0]
+                for shift in (-3.25, 17.5, 1e3):
+                    assert select_width(sups, [p + shift for p in base])[0] == k_hat
 
     def test_report_serialization(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 100, seed=5)
