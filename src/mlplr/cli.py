@@ -29,7 +29,6 @@ from .harness import (
 )
 from .likelihood import conditional_loglik, lr_statistic
 from .limit_law import (
-    ConeOptSettings,
     check_h4,
     extended_grid,
     gram_matrix,
@@ -187,10 +186,7 @@ def cmd_limit(args) -> int:
         basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
     try:
         gram = _build_gram(spec, args, basis)
-        sample = simulate_limit(
-            spec, args.k, gram, args.draws, seed,
-            ConeOptSettings(), extended=args.extended_index_set,
-        )
+        sample = simulate_limit(spec, args.k, gram, args.draws, seed, extended=args.extended_index_set)
     except Exception as exc:
         raise LimitError(str(exc)) from exc
     tag = stable_hash({"spec": spec.to_dict(), "k": args.k, "draws": args.draws, "seed": seed})

@@ -21,7 +21,6 @@ from .likelihood import (
     taylor_terms,
 )
 from .limit_law import (
-    ConeOptSettings,
     GramMatrix,
     LimitSample,
     ScoreBasis,
@@ -379,15 +378,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> 
 
     Writes matrix.csv, selection.csv, summary.json and one limit_k*.csv
     per requested width (when limit_draws > 0). Returns a manifest with
-    the output paths and failure counts. A failure of the Gram or of a
-    limit simulation is raised as LimitError.
+    the output paths and failure counts. The limit stage (Gram,
+    certificate, draws) runs before the replicate fits, so a failure of
+    the Gram or of a limit simulation is raised as LimitError without
+    spending a fit or writing a file.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    matrix = run_replicates(config, threads=threads)
-    tag = f"config_hash={matrix.config_hash} base_seed={config.base_seed}"
-    matrix.to_csv(os.path.join(out_dir, "matrix.csv"))
-    matrix.selection_csv(os.path.join(out_dir, "selection.csv"))
-
     limit_samples: dict[int, LimitSample] = {}
     if config.limit_draws > 0:
         try:
@@ -395,13 +390,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> 
             for k in sorted(set(config.k_grid)):
                 if k < config.spec.k0:
                     continue
-                limit_samples[k] = simulate_limit(
-                    config.spec, k, gram, config.limit_draws, config.base_seed, ConeOptSettings()
-                )
+                limit_samples[k] = simulate_limit(config.spec, k, gram, config.limit_draws, config.base_seed)
         except Exception as exc:
             raise LimitError(str(exc)) from exc
-        for k, sample in limit_samples.items():
-            sample.to_csv(os.path.join(out_dir, f"limit_k{k}.csv"), header_comment=tag)
+
+    os.makedirs(out_dir, exist_ok=True)
+    matrix = run_replicates(config, threads=threads)
+    tag = f"config_hash={matrix.config_hash} base_seed={config.base_seed}"
+    matrix.to_csv(os.path.join(out_dir, "matrix.csv"))
+    matrix.selection_csv(os.path.join(out_dir, "selection.csv"))
+    for k, sample in limit_samples.items():
+        sample.to_csv(os.path.join(out_dir, f"limit_k{k}.csv"), header_comment=tag)
 
     summary: dict = {
         "config_hash": matrix.config_hash,

@@ -112,9 +112,6 @@ class ScoreBasis:
     def dim(self) -> int:
         return self.core_dim + len(self.extra_w)
 
-    def const_index(self) -> int:
-        return 0
-
     def phi_index(self, i: int) -> int:
         self._check_unit(i)
         return 1 + i
@@ -245,12 +242,16 @@ def gram_matrix(
 
 def gram_matrix_gh(spec: RegressionSpec, nodes: int = 129, basis: ScoreBasis | None = None) -> GramMatrix:
     """Gauss-Hermite quadrature Gram, exact cross-check for d = 1 with
-    standard normal inputs."""
+    standard normal inputs. Node counts whose nodes or weights are not
+    finite (hermgauss overflows past a few hundred) are rejected."""
     if spec.input_dim != 1 or spec.input_law != "standard_normal":
         raise ValueError("Gauss-Hermite mode needs d = 1 and standard normal inputs")
     if basis is None:
         basis = ScoreBasis(spec.k0, spec.input_dim)
-    pts, wts = np.polynomial.hermite.hermgauss(nodes)
+    with np.errstate(all="ignore"):
+        pts, wts = np.polynomial.hermite.hermgauss(nodes)
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+        raise ValueError(f"Gauss-Hermite rule with nodes={nodes} has non-finite nodes or weights")
     X = (np.sqrt(2.0) * pts)[:, None]
     w = wts / np.sqrt(np.pi)
     B = eval_score_basis_batch(spec, X, basis)
@@ -406,21 +407,25 @@ class ConeSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConeOptSettings:
-    """Controls of the fallback cone searches.
+    """Settings of the fallback cone searches, which read the one
+    module-level instance _SEARCH.
 
     They drive only the partitions without a closed form: at d = 1 those
     with quadratic directions on several true units or with extra phi
     columns (coordinate ascent over angles), and every partition with a
     quadratic term at d > 1 (sphere search). The d = 1 single-unit cones
-    are solved exactly and ignore these settings.
+    are solved exactly.
     """
 
     angle_grid: int = 64
     golden_iters: int = 48
     restarts: int = 8  # direction restarts for d > 1
     sweeps: int = 3  # coordinate-ascent sweeps over quadratic directions
+
+
+_SEARCH = ConeOptSettings()
 
 
 @dataclass
@@ -464,60 +469,63 @@ def _direction_columns(basis: ScoreBasis, unit: int, sign: float, u: np.ndarray)
 
 
 class _ConeMaximizer:
-    """Supremum of (max(c^T g, 0))^2 / (c^T sigma c) over a linear block
+    """The process left over once the linear block is removed, and the
+    supremum of (max(c^T g, 0))^2 / (c^T sigma c) over the linear block
     plus a few given columns.
 
-    The linear block enters unconstrained; each given column (a quadratic
-    direction, or an extra phi column in one orientation) must keep a
-    non-negative coefficient. With a handful of such columns the exact
-    projection onto the cone they span is found by enumerating active
-    subsets. This scores fixed columns; choosing the quadratic directions
-    is left to the fallback searches, since the d = 1 single-unit cones
-    have closed forms (_exact_partition_d1). The ridge on the column block
-    shrinks a column's gain by the relative amount ridge / r, r its
-    residual variance after the linear block: at desk scale 3.7e-13
-    against r as small as 3.1e-9.
+    The linear block L (constant, phi, phi') enters unconstrained. With
+    K = S_LL^-1 sigma_L. and the residual Gram T = sigma - sigma_.L K,
+    both computed once here, a draw g leaves the residual h = g - g_L K
+    (``residual``), and every cone's value is v_lin = g_L^T S_LL^-1 g_L
+    plus the gain of its other columns in the metric T. All cone solvers
+    read T and h from here: values_with_columns, the d = 1 closed forms
+    (_exact_partition_d1) and the greedy choice of extra phi columns.
+
+    Each given column (a quadratic direction, or an extra phi column in
+    one orientation) must keep a non-negative coefficient. With a handful
+    of such columns the exact projection onto the cone they span is found
+    by enumerating active subsets. The ridge on the column block shrinks a
+    column's gain by the relative amount ridge / r, r its residual
+    variance: at desk scale 3.7e-13 against r as small as 3.1e-9.
     """
 
-    def __init__(self, gram: GramMatrix, lin_idx: np.ndarray, ridge: float = 1e-12):
-        self.sigma = gram.sigma
+    def __init__(self, gram: GramMatrix, ridge: float = 1e-12):
         self.basis = gram.basis
-        self.lin = lin_idx
-        self.S_ll = gram.sigma[np.ix_(lin_idx, lin_idx)]
-        self.ridge = ridge * float(np.trace(self.S_ll)) / len(lin_idx)
+        n_lin = gram.basis.n_linear
+        self.S_ll = gram.sigma[:n_lin, :n_lin]
+        self.K = np.linalg.solve(self.S_ll, gram.sigma[:n_lin])
+        T = gram.sigma - gram.sigma[:, :n_lin] @ self.K
+        self.T = 0.5 * (T + T.T)
+        self.ridge = ridge * float(np.trace(self.S_ll)) / n_lin
 
     def linear_values(self, g: np.ndarray) -> np.ndarray:
-        gl = g[:, self.lin]
+        gl = g[:, : self.basis.n_linear]
         sol = np.linalg.solve(self.S_ll, gl.T).T
         return np.einsum("ij,ij->i", gl, sol)
+
+    def residual(self, g: np.ndarray) -> np.ndarray:
+        return g - g[:, : self.basis.n_linear] @ self.K
 
     def values_with_columns(self, g: np.ndarray, cols: np.ndarray, v_lin: np.ndarray) -> np.ndarray:
         """Best value per draw given per-draw sign-constrained columns.
 
-        g (N, p); cols (N, R, p). Exact via enumeration over the 2^R
-        active subsets (R is at most a few at desk scale).
+        g is the residual h (N, p) of ``residual``, cols (N, R, p). The
+        value is v_lin plus the largest h_S^T (T_SS + ridge I)^-1 h_S over
+        the 2^R active subsets S whose coefficients are all non-negative
+        (R is at most a few at desk scale). This is the Schur complement
+        of the block system with the linear block, so the values are those
+        of the full (n_lin + |S|)-dimensional solve.
         """
-        N, R, _ = cols.shape
-        n_lin = len(self.lin)
-        Sc = np.einsum("nrp,pq->nrq", cols, self.sigma)
-        cross = Sc[:, :, self.lin]  # (N, R, n_lin)
-        quad = np.einsum("nrp,nsp->nrs", Sc, cols)  # (N, R, R)
-        y_quad = np.einsum("nrp,np->nr", cols, g)
+        R = cols.shape[1]
+        y = np.einsum("nrp,np->nr", cols, g)
+        C = np.einsum("nrp,nsp->nrs", cols @ self.T, cols)
         best = v_lin.copy()
         for mask in range(1, 2**R):
             sel = [r for r in range(R) if mask >> r & 1]
-            ns = len(sel)
-            dim = n_lin + ns
-            A = np.empty((N, dim, dim))
-            A[:, :n_lin, :n_lin] = self.S_ll
-            A[:, n_lin:, :n_lin] = cross[:, sel, :]
-            A[:, :n_lin, n_lin:] = np.swapaxes(cross[:, sel, :], 1, 2)
-            A[:, n_lin:, n_lin:] = quad[:, sel][:, :, sel]
-            A[:, range(n_lin, dim), range(n_lin, dim)] += self.ridge
-            y = np.concatenate([g[:, self.lin], y_quad[:, sel]], axis=1)
-            b = np.linalg.solve(A, y[..., None])[..., 0]
-            val = np.einsum("nj,nj->n", b, y)
-            feasible = np.all(b[:, n_lin:] >= -1e-12, axis=1)
+            A = C[:, sel][:, :, sel] + self.ridge * np.eye(len(sel))
+            b = np.linalg.solve(A, y[:, sel, None])[..., 0]
+            val = v_lin + np.einsum("nj,nj->n", b, y[:, sel])
+            feasible = np.all(b >= -1e-12, axis=1)
             np.maximum(best, np.where(feasible, val, -np.inf), out=best)
         return best
 
@@ -575,7 +583,7 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
 
 def _exact_partition_d1(
     mx: _ConeMaximizer,
-    g: np.ndarray,
+    h: np.ndarray,
     v_lin: np.ndarray,
     unit: int,
     sign: float,
@@ -583,22 +591,20 @@ def _exact_partition_d1(
 ) -> np.ndarray:
     """Exact supremum over one true unit's quadratic cone at d = 1.
 
-    The linear block is residualized once: with Q the unit's three phi''
-    components, K = S_LL^-1 S_LQ, T = S_QQ - S_QL K and h = g_Q - g_L K,
-    the value is v_lin plus the gain of the quadratic block in the
-    T-metric. Budget 1 is the rank-one boundary (_rank1_gain_d1). Budget 2
-    is the whole 2x2 PSD cone, which is convex: when sign * T^-1 h is PSD
-    the unconstrained optimum h^T T^-1 h is feasible, otherwise the cone
-    projection lies on the rank-one boundary. No ridge: simulate_limit's
-    certificate makes T positive definite.
+    With Q the unit's three phi'' components, T_QQ and h_Q are the
+    residual Gram and the residual draws of the shared linear-block
+    residualization (_ConeMaximizer), and the value is v_lin plus the
+    gain of the quadratic block in the T-metric. Budget 1 is the rank-one
+    boundary (_rank1_gain_d1). Budget 2 is the whole 2x2 PSD cone, which
+    is convex: when sign * T^-1 h is PSD the unconstrained optimum
+    h^T T^-1 h is feasible, otherwise the cone projection lies on the
+    rank-one boundary. No ridge: simulate_limit's certificate makes T_QQ
+    positive definite.
     """
     b = mx.basis
     q_idx = [b.ddphi_index(unit, 0, 0), b.ddphi_index(unit, 0, 1), b.ddphi_index(unit, 1, 1)]
-    S_lq = mx.sigma[np.ix_(mx.lin, q_idx)]
-    K = np.linalg.solve(mx.S_ll, S_lq)
-    T = mx.sigma[np.ix_(q_idx, q_idx)] - S_lq.T @ K
-    T = 0.5 * (T + T.T)
-    h = g[:, q_idx] - g[:, mx.lin] @ K
+    T = mx.T[np.ix_(q_idx, q_idx)]
+    h = h[:, q_idx]
     gain = _rank1_gain_d1(h, T, sign)
     if budget == 2:
         q = np.linalg.solve(T, h.T).T
@@ -614,14 +620,13 @@ def _angle_to_dirs(om: np.ndarray) -> np.ndarray:
 
 def _optimize_partition_d1(
     mx: _ConeMaximizer,
-    g: np.ndarray,
+    h: np.ndarray,
     v_lin: np.ndarray,
     quad_units: list[tuple[int, float]],
-    opt: ConeOptSettings,
     fixed_cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coordinate ascent over one angle per quadratic direction (d = 1)."""
-    N = g.shape[0]
+    N = h.shape[0]
     R = len(quad_units)
     base = np.zeros((N, 0, mx.basis.dim)) if fixed_cols is None else fixed_cols
 
@@ -634,9 +639,9 @@ def _optimize_partition_d1(
 
     # stagger initial angles so coinciding directions never start degenerate
     angles = np.tile(np.arange(R) * np.pi / max(R, 1), (N, 1))
-    grid = np.linspace(0.0, np.pi, opt.angle_grid, endpoint=False)
+    grid = np.linspace(0.0, np.pi, _SEARCH.angle_grid, endpoint=False)
     gr = (np.sqrt(5.0) - 1.0) / 2.0
-    n_sweeps = opt.sweeps if R > 1 else 1
+    n_sweeps = _SEARCH.sweeps if R > 1 else 1
     best = v_lin.copy()
     for _ in range(n_sweeps):
         for r in range(R):
@@ -645,47 +650,46 @@ def _optimize_partition_d1(
             best_ang = angles[:, r].copy()
             for om in grid:
                 cand[:, r] = om
-                val = mx.values_with_columns(g, all_cols(cand), v_lin)
+                val = mx.values_with_columns(h, all_cols(cand), v_lin)
                 upd = val > best_r
                 best_ang[upd] = om
                 best_r[upd] = val[upd]
-            lo = best_ang - np.pi / opt.angle_grid
-            hi = best_ang + np.pi / opt.angle_grid
-            for _ in range(opt.golden_iters):
+            lo = best_ang - np.pi / _SEARCH.angle_grid
+            hi = best_ang + np.pi / _SEARCH.angle_grid
+            for _ in range(_SEARCH.golden_iters):
                 m1 = hi - gr * (hi - lo)
                 m2 = lo + gr * (hi - lo)
                 cand[:, r] = m1
-                v1 = mx.values_with_columns(g, all_cols(cand), v_lin)
+                v1 = mx.values_with_columns(h, all_cols(cand), v_lin)
                 cand[:, r] = m2
-                v2 = mx.values_with_columns(g, all_cols(cand), v_lin)
+                v2 = mx.values_with_columns(h, all_cols(cand), v_lin)
                 take1 = v1 >= v2
                 hi = np.where(take1, m2, hi)
                 lo = np.where(take1, lo, m1)
             angles[:, r] = 0.5 * (lo + hi)
-            val = mx.values_with_columns(g, all_cols(angles), v_lin)
+            val = mx.values_with_columns(h, all_cols(angles), v_lin)
             np.maximum(best, np.maximum(val, best_r), out=best)
     return best
 
 
 def _optimize_partition_general(
     mx: _ConeMaximizer,
-    g: np.ndarray,
+    h: np.ndarray,
     v_lin: np.ndarray,
     quad_units: list[tuple[int, float]],
-    opt: ConeOptSettings,
     seed_key: tuple,
     fixed_cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sphere search for d > 1: deterministic restarts refined by golden
     rotations in coordinate planes (batched across draws)."""
-    N = g.shape[0]
+    N = h.shape[0]
     p1 = mx.basis.d + 1
     R = len(quad_units)
     base = np.zeros((N, 0, mx.basis.dim)) if fixed_cols is None else fixed_cols
     rng = np.random.default_rng([abs(hash(seed_key)) % 2**32])
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     best = v_lin.copy()
-    for _ in range(max(opt.restarts, 1)):
+    for _ in range(max(_SEARCH.restarts, 1)):
         U = rng.standard_normal((R, p1))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         dirs = np.tile(U[None, :, :], (N, 1, 1))
@@ -697,7 +701,7 @@ def _optimize_partition_general(
             ]
             return np.concatenate([base, np.stack(cols, axis=1)], axis=1)
 
-        for _ in range(opt.sweeps):
+        for _ in range(_SEARCH.sweeps):
             for r in range(R):
                 for axis in range(p1):
                     e = np.zeros(p1)
@@ -710,15 +714,15 @@ def _optimize_partition_general(
                     v[ok] /= nv[ok][:, None]
                     lo = np.full(N, -np.pi / 2)
                     hi = np.full(N, np.pi / 2)
-                    for _ in range(opt.golden_iters // 2):
+                    for _ in range(_SEARCH.golden_iters // 2):
                         m1 = hi - gr * (hi - lo)
                         m2 = lo + gr * (hi - lo)
                         d1 = dirs.copy()
                         d1[:, r, :] = np.cos(m1)[:, None] * u + np.sin(m1)[:, None] * v
-                        v1 = mx.values_with_columns(g, cols_from(d1), v_lin)
+                        v1 = mx.values_with_columns(h, cols_from(d1), v_lin)
                         d2 = dirs.copy()
                         d2[:, r, :] = np.cos(m2)[:, None] * u + np.sin(m2)[:, None] * v
-                        v2 = mx.values_with_columns(g, cols_from(d2), v_lin)
+                        v2 = mx.values_with_columns(h, cols_from(d2), v_lin)
                         take1 = v1 >= v2
                         hi = np.where(take1, m2, hi)
                         lo = np.where(take1, lo, m1)
@@ -726,55 +730,47 @@ def _optimize_partition_general(
                     nd = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v
                     nd[~ok] = u[~ok]
                     dirs[:, r, :] = nd
-        np.maximum(best, mx.values_with_columns(g, cols_from(dirs), v_lin), out=best)
+        np.maximum(best, mx.values_with_columns(h, cols_from(dirs), v_lin), out=best)
     return best
 
 
-# Rows of one values_with_columns call in the greedy scan. Its temporaries
-# take about 1.5 KB per row at desk scale, so this caps them near 12 MB;
-# larger calls ran no faster.
-_SCAN_ROWS = 8192
-
-
-def _greedy_extra_columns(
-    mx: _ConeMaximizer,
-    g: np.ndarray,
-    v_lin: np.ndarray,
-    n_free: int,
-) -> np.ndarray:
+def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.ndarray:
     """Per-draw greedy choice of up to n_free extra phi columns.
 
-    Extra columns are sign-free, so each chosen column simply joins the
-    draw's linear system; returns per-draw fixed columns (N, chosen, p).
-    Each step scores every candidate in both orientations, stacked along
-    the draw axis: block 2 j + s holds candidate j with sign + (s = 0) or
-    - (s = 1), and one call scores as many blocks as _SCAN_ROWS allows.
+    Extra columns are sign-free, so each chosen column joins the draw's
+    linear system: a pivoted Gram-Schmidt over the extra columns'
+    residuals. With C = T_EE + ridge I (the metric values_with_columns
+    scores in) and y = h_E, a candidate's gain is y_j^2 / C_jj in the
+    process left over once the columns chosen so far are removed. Each
+    step takes the largest gain per draw; the chosen column's row of the
+    pivoted Cholesky factor then updates y and the diagonal of C, so every
+    array is (N, J). Each column is oriented by the sign of its
+    coefficient in the draw's fit on all chosen columns, so the
+    sign-constrained values_with_columns call that scores the partition
+    returns that fit's value. Returns per-draw fixed columns (N, chosen, p).
     """
-    basis = mx.basis
-    n_extra = len(basis.extra_w)
-    N, p = g.shape
-    chosen = np.zeros((N, 0, p))
-    used = np.zeros((n_extra, N), dtype=bool)
-    cand = np.zeros((n_extra, 2, p))
-    cand[np.arange(n_extra), 0, basis.core_dim + np.arange(n_extra)] = 1.0
-    cand[:, 1] = -cand[:, 0]
-    cand = cand.reshape(2 * n_extra, 1, p)
-    per_call = max(1, _SCAN_ROWS // N)
+    N, p = h.shape
+    extra = mx.basis.core_dim + np.arange(len(mx.basis.extra_w))
+    C = mx.T[np.ix_(extra, extra)] + mx.ridge * np.eye(len(extra))
+    y = h[:, extra]
+    diag = np.tile(np.diag(C), (N, 1))
+    free = np.ones(y.shape, dtype=bool)
     draws = np.arange(N)
-    for _ in range(min(n_free, n_extra)):
-        vals = np.empty((2 * n_extra, N))
-        for b0 in range(0, 2 * n_extra, per_call):
-            nb = min(per_call, 2 * n_extra - b0)
-            cols = np.concatenate([np.tile(chosen, (nb, 1, 1)), np.repeat(cand[b0:b0 + nb], N, axis=0)], axis=1)
-            out = mx.values_with_columns(np.tile(g, (nb, 1)), cols, np.tile(v_lin, nb))
-            vals[b0:b0 + nb] = out.reshape(nb, N)
-        vals = vals.reshape(n_extra, 2, N)
-        best_j = np.argmax(np.where(used, -np.inf, vals.max(axis=1)), axis=0)
-        v_plus, v_minus = vals[best_j, 0, draws], vals[best_j, 1, draws]
-        add = np.zeros((N, 1, p))
-        add[draws, 0, basis.core_dim + best_j] = np.where(v_minus > v_plus, -1.0, 1.0)
-        chosen = np.concatenate([chosen, add], axis=1)
-        used[best_j, draws] = True
+    rows, picks = [], []
+    for _ in range(min(n_free, len(extra))):
+        gain = np.divide(y * y, diag, out=np.full(y.shape, -np.inf), where=free & (diag > 0))
+        j = np.argmax(gain, axis=1)
+        piv = np.sqrt(diag[draws, j])
+        row = (C[j] - sum(r * r[draws, j, None] for r in rows)) / piv[:, None]
+        y = y - row * (y[draws, j] / piv)[:, None]
+        diag = diag - row * row
+        free[draws, j] = False
+        rows.append(row)
+        picks.append(j)
+    J = np.stack(picks, axis=1)
+    b = np.linalg.solve(C[J[:, :, None], J[:, None, :]], h[draws[:, None], extra[J], None])[..., 0]
+    chosen = np.zeros((N, len(picks), p))
+    chosen[draws[:, None], np.arange(len(picks)), extra[J]] = np.where(b < -1e-12, -1.0, 1.0)
     return chosen
 
 
@@ -784,9 +780,7 @@ def simulate_limit(
     gram: GramMatrix,
     n_draws: int,
     seed: int,
-    opt: ConeOptSettings | None = None,
     extended: bool = False,
-    h4_tol: float = 1e-8,
 ) -> LimitSample:
     """Monte-Carlo sample of the limiting LR distribution at width k.
 
@@ -794,15 +788,16 @@ def simulate_limit(
     supremum of (max(c^T g, 0))^2 / (c^T sigma c) is maximized over every
     partition's cone of realizable coefficient vectors (ConeSpec); the
     normalization sits in the Rayleigh denominator so the scale of c is
-    immaterial. Each partition goes to one solver, recorded per draw in
-    ``path`` for the winning partition: the linear block alone (with
-    greedily chosen extra phi columns on the extended index set); at d = 1
-    the closed forms for one true unit's rank-one or full PSD cone; and
-    otherwise the fallback searches that ``opt`` controls. Deterministic
-    given the seed (draw i uses the stream (seed, i)).
+    immaterial. The linear block is residualized once (_ConeMaximizer),
+    and each partition goes to one solver in that residual process,
+    recorded per draw in ``path`` for the winning partition: the linear
+    block alone (with extra phi columns chosen greedily in closed form on
+    the extended index set); at d = 1 the closed forms for one true unit's
+    rank-one or full PSD cone; and otherwise the fallback searches with
+    the settings _SEARCH. The core basis must pass check_h4 at its
+    default tolerance. Deterministic given the seed (draw i uses the
+    stream (seed, i)).
     """
-    if opt is None:
-        opt = ConeOptSettings()
     k0, d = spec.k0, spec.input_dim
     if k < k0:
         raise ValueError(f"need k >= k0, got k={k} < k0={k0}")
@@ -817,11 +812,11 @@ def simulate_limit(
         gram.sigma[:core, :core], gram.x_gram[:core, :core],
         gram.mc_draws, gram.seed, ScoreBasis(k0, d), gram.method,
     )
-    rep = check_h4(core_gram, tol=h4_tol)
+    rep = check_h4(core_gram)
     if not rep.passed:
         raise ValueError(
             f"gram fails the linear-independence certificate "
-            f"(min scaled eigenvalue {rep.min_eigenvalue:.3e} < {h4_tol:.1e})"
+            f"(min scaled eigenvalue {rep.min_eigenvalue:.3e} < {rep.tol:.1e})"
         )
     p = gram.basis.dim
     # Cholesky keeps the factor nested in the basis prefix, so draws on a
@@ -836,9 +831,9 @@ def simulate_limit(
     for i in range(n_draws):
         g[i] = factor @ np.random.default_rng([seed, i]).standard_normal(p)
 
-    lin_idx = np.arange(gram.basis.n_linear)
-    mx = _ConeMaximizer(gram, lin_idx)
+    mx = _ConeMaximizer(gram)
     v_lin = mx.linear_values(g)
+    h = mx.residual(g)
     signs = np.sign([u.a for u in spec.theta0.units])
 
     partitions = enumerate_partitions(k, k0)
@@ -851,20 +846,20 @@ def simulate_limit(
         if extended:
             n_free = k - part.total_units
             if n_free > 0:
-                fixed = _greedy_extra_columns(mx, g, v_lin, n_free)
+                fixed = _greedy_extra_columns(mx, h, n_free)
         if not quad_units:
             paths.append("linear")
-            per_part[pi] = v_lin if fixed is None else mx.values_with_columns(g, fixed, v_lin)
+            per_part[pi] = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
         elif d == 1 and fixed is None and len(set(quad_units)) == 1:
             unit, sign = quad_units[0]
             paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
-            per_part[pi] = _exact_partition_d1(mx, g, v_lin, unit, sign, len(quad_units))
+            per_part[pi] = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units))
         elif d == 1:
             paths.append("search")
-            per_part[pi] = _optimize_partition_d1(mx, g, v_lin, quad_units, opt, fixed)
+            per_part[pi] = _optimize_partition_d1(mx, h, v_lin, quad_units, fixed)
         else:
             paths.append("search")
-            per_part[pi] = _optimize_partition_general(mx, g, v_lin, quad_units, opt, (seed, part.t), fixed)
+            per_part[pi] = _optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed)
     best_idx = np.argmax(per_part, axis=0)
     values = per_part[best_idx, np.arange(n_draws)]
     return LimitSample(

@@ -4,11 +4,14 @@ The tier-1 command runs with --continue-on-collection-errors, so a name
 trimmed from the package would turn the whole acceptance file into one
 collection error instead of a failing test. This reads the imports, the
 dotted ``mlplr.`` references and the (owner, "attribute") pairs the span
-tracer wraps from those files, without running them.
+tracer wraps from those files, without running them. It also pins the
+leading parameters of the functions whose arguments the tracer's hooks
+read by position.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,24 @@ def test_the_guard_sees_the_acceptance_imports():
     assert not _resolves("mlplr.project_to_box")
     spans = _references(ROOT / "perfbench" / "spans.py")
     assert {"mlplr.harness.penalty_value", "mlplr.limit_law._ConeMaximizer.values_with_columns"} <= spans
+
+
+# The span tracer's hooks read these arguments by position; a reordered
+# parameter would make them count the wrong thing without failing.
+HOOK_LAYOUTS = [
+    ("mlplr.limit_law._ConeMaximizer.values_with_columns", ["self", "g", "cols", "v_lin"]),
+    ("mlplr.estimation.fit_mle", ["data", "k", "box", "config"]),
+    ("mlplr.simulate_limit", ["spec", "k"]),
+    ("mlplr.estimation.project_vector", ["vec"]),
+]
+
+
+@pytest.mark.parametrize("dotted, leading", HOOK_LAYOUTS, ids=[name for name, _ in HOOK_LAYOUTS])
+def test_hooked_functions_keep_their_positional_layout(dotted, leading):
+    module, _, rest = dotted.partition(".")
+    obj = importlib.import_module(module)
+    for part in rest.split("."):
+        obj = getattr(obj, part)
+    params = list(inspect.signature(obj).parameters.values())[: len(leading)]
+    assert [p.name for p in params] == leading
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)

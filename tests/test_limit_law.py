@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +11,7 @@ import pytest
 from scipy.stats import chi2
 
 import mlplr
-import mlplr.limit_law as limit_law
 from mlplr import (
-    ConeOptSettings,
     ConeSpec,
     GramMatrix,
     HiddenUnit,
@@ -42,6 +43,39 @@ def _desk_draws(gram, n, seed):
     factor = np.linalg.cholesky(gram.sigma)
     p = gram.basis.dim
     return np.stack([factor @ np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
+
+
+def _block_values_with_columns(gram, ridge, g, cols, v_lin):
+    """Frozen copy of the block-system cone value, the reference for the
+    residualized _ConeMaximizer.values_with_columns: the whole linear
+    block re-enters every (n_lin + |S|)-dimensional system, and g is the
+    raw draw, not its residual."""
+    lin = np.arange(gram.basis.n_linear)
+    S_ll = gram.sigma[np.ix_(lin, lin)]
+    ridge = ridge * float(np.trace(S_ll)) / len(lin)
+    N, R, _ = cols.shape
+    n_lin = len(lin)
+    Sc = np.einsum("nrp,pq->nrq", cols, gram.sigma)
+    cross = Sc[:, :, lin]
+    quad = np.einsum("nrp,nsp->nrs", Sc, cols)
+    y_quad = np.einsum("nrp,np->nr", cols, g)
+    best = v_lin.copy()
+    for mask in range(1, 2**R):
+        sel = [r for r in range(R) if mask >> r & 1]
+        ns = len(sel)
+        dim = n_lin + ns
+        A = np.empty((N, dim, dim))
+        A[:, :n_lin, :n_lin] = S_ll
+        A[:, n_lin:, :n_lin] = cross[:, sel, :]
+        A[:, :n_lin, n_lin:] = np.swapaxes(cross[:, sel, :], 1, 2)
+        A[:, n_lin:, n_lin:] = quad[:, sel][:, :, sel]
+        A[:, range(n_lin, dim), range(n_lin, dim)] += ridge
+        y = np.concatenate([g[:, lin], y_quad[:, sel]], axis=1)
+        b = np.linalg.solve(A, y[..., None])[..., 0]
+        val = np.einsum("nj,nj->n", b, y)
+        feasible = np.all(b[:, n_lin:] >= -1e-12, axis=1)
+        np.maximum(best, np.where(feasible, val, -np.inf), out=best)
+    return best
 
 
 class TestPartitions:
@@ -88,7 +122,7 @@ class TestScoreBasis:
     def test_index_maps_are_bijections(self):
         for k0, d in ((1, 1), (2, 3), (3, 2)):
             basis = ScoreBasis(k0=k0, d=d)
-            seen = [basis.const_index()]
+            seen = [0]  # the constant
             seen += [basis.phi_index(i) for i in range(k0)]
             seen += [basis.dphi_index(i, l) for i in range(k0) for l in range(d + 1)]
             seen += [
@@ -105,7 +139,7 @@ class TestScoreBasis:
         spec = RegressionSpec(theta0, sigma2=1.0, input_dim=1)
         vec = eval_score_basis_batch(spec, np.zeros((1, 1)))[0]
         basis = ScoreBasis(1, 1)
-        assert vec[basis.const_index()] == 1.0
+        assert vec[0] == 1.0
         assert vec[basis.phi_index(0)] == 0.5
         assert vec[basis.dphi_index(0, 0)] == 0.25
         assert vec[basis.ddphi_index(0, 0, 0)] == 0.0
@@ -151,6 +185,11 @@ class TestGramMatrix:
         gh = gram_matrix_gh(desk_spec).x_gram
         mc = gram_matrix(desk_spec, 200_000, seed=7).x_gram
         np.testing.assert_allclose(mc, gh, atol=5e-3)
+
+    def test_gh_rejects_non_finite_rule(self, desk_spec):
+        """hermgauss(400) returns NaN weights, which would make a NaN Gram."""
+        with pytest.raises(ValueError, match="nodes"):
+            gram_matrix_gh(desk_spec, nodes=400)
 
     def test_gh_requires_gaussian_1d(self):
         theta0 = MlpParams(0.0, [HiddenUnit(1.0, np.array([0.0, 1.0, 1.0]))])
@@ -347,6 +386,20 @@ class TestSimulateLimit:
         assert len(sample.best_partition) == 200
         assert all(t in ((0, 1), (0, 2)) for t in sample.best_partition)
 
+    def test_desk_draws_are_bit_identical_to_recorded(self, desk_spec):
+        """sha256 of the k = 2 and k = 3 draws at seed 71, recorded with the
+        block-system cone solver that built its own Schur complement in each
+        closed form: residualizing the linear block once for every solver
+        must not move a bit."""
+        gram = gram_matrix_gh(desk_spec)
+        recorded = {
+            2: "a1e8b5f022f2c3f8ea2616619c67b1a26bb0368f250d51b862fafd3d88c26cdd",
+            3: "a73f8d7f76d0f4b6e7071705790bcf854f79e474d751268f4950e775985c2d34",
+        }
+        for k, digest in recorded.items():
+            values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
+
     def test_determinism(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
         a = simulate_limit(desk_spec, 2, gram, 100, seed=41)
@@ -413,10 +466,9 @@ class TestExactConeD1:
     @pytest.fixture(scope="class")
     def setup(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
-        lin = np.arange(gram.basis.n_linear)
         g = _desk_draws(gram, self.N, seed=61)
-        mx = _ConeMaximizer(gram, lin)
-        return gram, g, mx.linear_values(g), mx, _ConeMaximizer(gram, lin, ridge=0.0)
+        mx = _ConeMaximizer(gram)
+        return gram, mx.residual(g), mx.linear_values(g), mx, _ConeMaximizer(gram, ridge=0.0)
 
     @staticmethod
     def _columns(gram, sign, n):
@@ -430,11 +482,11 @@ class TestExactConeD1:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rank1_matches_dense_angle_search(self, setup, sign):
-        gram, g, v_lin, mx, plain = setup
+        gram, h, v_lin, mx, plain = setup
         n = 4096
         cols = self._columns(gram, sign, n)
         vals = plain.values_with_columns(
-            np.repeat(g, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n)
+            np.repeat(h, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n)
         ).reshape(self.N, n)
         best = np.argmax(vals, axis=1)
         rows = np.arange(self.N)
@@ -443,11 +495,11 @@ class TestExactConeD1:
             np.abs(vals[rows, best] - vals[rows, (best - 1) % n]),
             np.abs(vals[rows, best] - vals[rows, (best + 1) % n]),
         )
-        self._check(_exact_partition_d1(mx, g, v_lin, 0, sign, 1), vals.max(axis=1), resolution)
+        self._check(_exact_partition_d1(mx, h, v_lin, 0, sign, 1), vals.max(axis=1), resolution)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_psd_matches_dense_angle_pair_search(self, setup, sign):
-        gram, g, v_lin, mx, plain = setup
+        gram, h, v_lin, mx, plain = setup
         n = 256
         cols = self._columns(gram, sign, n)
         I, J = np.triu_indices(n, 1)  # equal angles give a singular system
@@ -455,7 +507,7 @@ class TestExactConeD1:
         brute = np.empty(self.N)
         resolution = np.empty(self.N)
         for d in range(self.N):
-            vals = plain.values_with_columns(np.tile(g[d], (len(I), 1)), pair_cols, np.full(len(I), v_lin[d]))
+            vals = plain.values_with_columns(np.tile(h[d], (len(I), 1)), pair_cols, np.full(len(I), v_lin[d]))
             grid = np.full((n, n), np.nan)
             grid[I, J] = vals
             grid[J, I] = vals
@@ -463,36 +515,99 @@ class TestExactConeD1:
             near = [grid[(i + a) % n, (j + b) % n] for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
             brute[d] = vals.max()
             resolution[d] = np.nanmax(np.abs(brute[d] - np.array(near)))
-        exact = _exact_partition_d1(mx, g, v_lin, 0, sign, 2)
+        exact = _exact_partition_d1(mx, h, v_lin, 0, sign, 2)
         self._check(exact, brute, resolution)
-        assert np.all(exact >= _exact_partition_d1(mx, g, v_lin, 0, sign, 1))
+        assert np.all(exact >= _exact_partition_d1(mx, h, v_lin, 0, sign, 1))
 
-    @pytest.mark.parametrize("rows", [8192, 130])
-    def test_greedy_extra_columns_match_one_call_per_candidate(self, desk_spec, desk_box, monkeypatch, rows):
-        """The batched scan chooses what scoring one candidate and
-        orientation per call chooses, in one call per step or in several."""
-        monkeypatch.setattr(limit_law, "_SCAN_ROWS", rows)
-        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(1.0, 10.0)))
-        gram = gram_matrix_gh(desk_spec, basis=basis)
-        mx = _ConeMaximizer(gram, np.arange(basis.n_linear))
-        g = _desk_draws(gram, 40, seed=67)
-        v_lin = mx.linear_values(g)
+    @staticmethod
+    def _one_call_per_candidate(gram, g, v_lin, n_free, refit_signs):
+        """Greedy scan that scores each candidate with the block-system
+        reference, one call per candidate and sign pattern. With
+        refit_signs the pattern covers every chosen column too, so a
+        candidate scores the sign-free fit; without it the earlier columns
+        keep the signs they were chosen with."""
+        basis = gram.basis
         N, p = g.shape
         n_extra = len(basis.extra_w)
         chosen = np.zeros((N, 0, p))
         used = np.zeros((N, n_extra), dtype=bool)
-        for _ in range(2):
+        for m in range(n_free):
+            patterns = [np.array(s) for s in itertools.product((1.0, -1.0), repeat=m + 1 if refit_signs else 1)]
             best_val = np.full(N, -np.inf)
-            add = np.zeros((N, 1, p))
+            best = np.zeros((N, m + 1, p))
             for j in range(n_extra):
                 col = np.zeros((N, 1, p))
                 col[:, 0, basis.extra_index(j)] = 1.0
-                v_plus = mx.values_with_columns(g, np.concatenate([chosen, col], axis=1), v_lin)
-                v_minus = mx.values_with_columns(g, np.concatenate([chosen, -col], axis=1), v_lin)
-                val = np.where(used[:, j], -np.inf, np.maximum(v_plus, v_minus))
-                upd = val > best_val
-                best_val[upd] = val[upd]
-                add[upd] = np.where(v_minus > v_plus, -1.0, 1.0)[upd, None, None] * col[upd]
-            chosen = np.concatenate([chosen, add], axis=1)
-            used |= add[:, 0, basis.core_dim:] != 0
-        np.testing.assert_array_equal(_greedy_extra_columns(mx, g, v_lin, 2), chosen)
+                for signs in patterns:
+                    cols = np.concatenate([chosen, col], axis=1)
+                    cols[:, m + 1 - len(signs):] *= signs[:, None]
+                    val = np.where(used[:, j], -np.inf, _block_values_with_columns(gram, 1e-12, g, cols, v_lin))
+                    upd = val > best_val
+                    best_val[upd] = val[upd]
+                    best[upd] = cols[upd]
+            chosen = best
+            used |= chosen[:, -1, basis.core_dim:] != 0
+        return chosen, best_val
+
+    @pytest.mark.parametrize("n_free", [2, 3])
+    def test_greedy_extra_columns_match_one_call_per_candidate(self, desk_spec, desk_box, n_free):
+        """The closed-form scan chooses the columns and signs of the
+        sign-free scan over one-candidate calls, and the chosen columns
+        score that scan's value. Up to two columns this is also what a scan
+        that keeps earlier signs fixed chooses; from the third on, such a
+        scan passes over a candidate whose fit turns an earlier coefficient
+        negative (one draw of these 40 at n_free = 3)."""
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(1.0, 10.0)))
+        gram = gram_matrix_gh(desk_spec, basis=basis)
+        mx = _ConeMaximizer(gram)
+        g = _desk_draws(gram, 40, seed=67)
+        v_lin = mx.linear_values(g)
+        chosen, best_val = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=True)
+        if n_free == 2:
+            fixed_signs, _ = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=False)
+            np.testing.assert_array_equal(fixed_signs, chosen)
+        h = mx.residual(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # chosen columns are masked, not divided by 0
+            got = _greedy_extra_columns(mx, h, n_free)
+        np.testing.assert_array_equal(got, chosen)
+        scored = mx.values_with_columns(h, got, v_lin)
+        # one column of this grid keeps a residual variance of 2.1e-8 after
+        # the linear block, where the two formulas part by up to 2e-8
+        # relative; against a 50-digit solve the residualized value is the
+        # closer one (5e-9 against 2.5e-8 over these draws at n_free = 3)
+        assert np.all(np.abs(scored - best_val) <= 1e-7 * (1.0 + np.abs(best_val)))
+        assert np.all(scored > v_lin)
+
+
+class TestResidualizedConeValues:
+    """values_with_columns in the residual process against the frozen
+    block-system reference, for random columns."""
+
+    N = 200
+
+    @pytest.fixture(scope="class", params=["desk_extended_gh", "d2_mc"])
+    def gram(self, request, desk_spec, desk_box):
+        if request.param == "desk_extended_gh":
+            basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
+            return gram_matrix_gh(desk_spec, basis=basis)
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
+        spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
+        return gram_matrix(spec, 20_000, seed=3)
+
+    @pytest.mark.parametrize("ridge", [1e-12, 0.0])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_matches_block_system(self, gram, ridge, R):
+        p = gram.basis.dim
+        rng = np.random.default_rng(100 + R)
+        # the extended Gram is singular to rounding, so draw from a jittered
+        # factor as simulate_limit does; the identity holds for any g
+        jitter = 1e-12 * float(np.trace(gram.sigma)) / p
+        g = rng.standard_normal((self.N, p)) @ np.linalg.cholesky(gram.sigma + jitter * np.eye(p)).T
+        cols = rng.standard_normal((self.N, R, p))
+        mx = _ConeMaximizer(gram, ridge=ridge)
+        v_lin = mx.linear_values(g)
+        ref = _block_values_with_columns(gram, ridge, g, cols, v_lin)
+        got = mx.values_with_columns(mx.residual(g), cols, v_lin)
+        assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+        assert np.mean(got > v_lin) > 0.3  # the columns do enter
