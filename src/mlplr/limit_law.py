@@ -409,19 +409,17 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class ConeOptSettings:
-    """Settings of the fallback cone searches, which read the one
-    module-level instance _SEARCH.
+    """Settings of the one fallback cone search (_optimize_partition_general),
+    which reads the module-level instance _SEARCH.
 
-    They drive only the partitions without a closed form: at d = 1 those
-    with quadratic directions on several true units or with extra phi
-    columns (coordinate ascent over angles), and every partition with a
-    quadratic term at d > 1 (sphere search). The d = 1 single-unit cones
-    are solved exactly.
+    They drive only the partitions without a closed form: every partition
+    with a quadratic term at d > 1, and at d = 1 those whose quadratic
+    directions fall on several true units. Every d = 1 cone of one true
+    unit is solved exactly, with or without extra phi columns.
     """
 
-    angle_grid: int = 64
     golden_iters: int = 48
-    restarts: int = 8  # direction restarts for d > 1
+    restarts: int = 8  # direction restarts
     sweeps: int = 3  # coordinate-ascent sweeps over quadratic directions
 
 
@@ -439,7 +437,9 @@ class LimitSample:
     best_partition: list[tuple[int, ...]] = field(default_factory=list)
     # per draw, the solver of the winning partition: "linear" (no quadratic
     # direction; extra phi columns, if any, chosen greedily), "exact_rank1"
-    # or "exact_psd" (d = 1 closed forms), "search" (fallback searches)
+    # or "exact_psd" (d = 1 closed forms for one true unit, extra phi
+    # columns included), "search" (the sphere search: d > 1, or quadratic
+    # directions on several true units)
     path: np.ndarray | None = None
     extended: bool = False
 
@@ -481,12 +481,12 @@ class _ConeMaximizer:
     read T and h from here: values_with_columns, the d = 1 closed forms
     (_exact_partition_d1) and the greedy choice of extra phi columns.
 
-    Each given column (a quadratic direction, or an extra phi column in
-    one orientation) must keep a non-negative coefficient. With a handful
-    of such columns the exact projection onto the cone they span is found
-    by enumerating active subsets. The ridge on the column block shrinks a
-    column's gain by the relative amount ridge / r, r its residual
-    variance: at desk scale 3.7e-13 against r as small as 3.1e-9.
+    Each given quadratic direction must keep a non-negative coefficient;
+    extra phi columns are sign-free. With a handful of such columns the
+    exact projection onto the cone they span is found by enumerating
+    active subsets. The ridge on the column block shrinks a column's gain
+    by the relative amount ridge / r, r its residual variance: at desk
+    scale 3.7e-13 against r as small as 3.1e-9.
     """
 
     def __init__(self, gram: GramMatrix, ridge: float = 1e-12):
@@ -506,26 +506,34 @@ class _ConeMaximizer:
     def residual(self, g: np.ndarray) -> np.ndarray:
         return g - g[:, : self.basis.n_linear] @ self.K
 
-    def values_with_columns(self, g: np.ndarray, cols: np.ndarray, v_lin: np.ndarray) -> np.ndarray:
+    def values_with_columns(
+        self, g: np.ndarray, cols: np.ndarray, v_lin: np.ndarray, extras: np.ndarray | None = None
+    ) -> np.ndarray:
         """Best value per draw given per-draw sign-constrained columns.
 
-        g is the residual h (N, p) of ``residual``, cols (N, R, p). The
-        value is v_lin plus the largest h_S^T (T_SS + ridge I)^-1 h_S over
-        the 2^R active subsets S whose coefficients are all non-negative
-        (R is at most a few at desk scale). This is the Schur complement
-        of the block system with the linear block, so the values are those
-        of the full (n_lin + |S|)-dimensional solve.
+        g is the residual h (N, p) of ``residual``, cols (N, R, p), and
+        extras (N, m, p), if given, sign-free columns that enter every
+        active subset. The value is v_lin plus the largest
+        h_S^T (T_SS + ridge I)^-1 h_S over the active subsets S (the
+        extras plus any of the 2^R subsets of cols) whose coefficients on
+        cols are all non-negative (R is at most a few at desk scale). This
+        is the Schur complement of the block system with the linear block,
+        so the values are those of the full (n_lin + |S|)-dimensional
+        solve.
         """
-        R = cols.shape[1]
+        m = 0 if extras is None else extras.shape[1]
+        if m:
+            cols = np.concatenate([extras, cols], axis=1)
+        R = cols.shape[1] - m
         y = np.einsum("nrp,np->nr", cols, g)
         C = np.einsum("nrp,nsp->nrs", cols @ self.T, cols)
         best = v_lin.copy()
-        for mask in range(1, 2**R):
-            sel = [r for r in range(R) if mask >> r & 1]
+        for mask in range(0 if m else 1, 2**R):
+            sel = list(range(m)) + [m + r for r in range(R) if mask >> r & 1]
             A = C[:, sel][:, :, sel] + self.ridge * np.eye(len(sel))
             b = np.linalg.solve(A, y[:, sel, None])[..., 0]
             val = v_lin + np.einsum("nj,nj->n", b, y[:, sel])
-            feasible = np.all(b >= -1e-12, axis=1)
+            feasible = np.all(b[:, m:] >= -1e-12, axis=1)
             np.maximum(best, np.where(feasible, val, -np.inf), out=best)
         return best
 
@@ -536,7 +544,9 @@ _RANK1_D1 = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]])
 
 
 def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
-    """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = sign * P v.
+    """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = sign * P v,
+    for residuals h (N, 3) and the metric T, one (3, 3) shared by all draws
+    or one per draw (N, 3, 3).
 
     With a = sign * P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
     (v^T B v) in the angle phi = 2w. Its stationary points are the zeros of
@@ -544,7 +554,8 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     degree 2 (the degree-3 terms cancel) and linear in a. With
     t = tan(phi / 2), (1 + t^2)^2 p is a real quartic in t; the angle of
     every root's real part, and phi = pi (t at infinity), are the
-    candidates, and the largest f over them is the maximum.
+    candidates, and the largest f over them is the maximum. A shared T
+    keeps one BLAS product over all draws, whose bits depend on the batch.
     """
     a = sign * (h @ _RANK1_D1)
     B = _RANK1_D1.T @ T @ _RANK1_D1
@@ -553,10 +564,10 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     phi = np.arange(8) * (np.pi / 4)
     V = np.stack([np.ones(8), np.cos(phi), np.sin(phi)], axis=1)
     dV = np.stack([np.zeros(8), -np.sin(phi), np.cos(phi)], axis=1)
-    vBv = np.einsum("ki,ij,kj->k", V, B, V)
-    vBdv = np.einsum("ki,ij,kj->k", V, B, dV)
-    X = np.fft.rfft(dV * vBv[:, None] - V * vBdv[:, None], axis=0) / 4.0
-    trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=1)
+    vBv = np.einsum("ki,...ij,kj->...k", V, B, V)
+    vBdv = np.einsum("ki,...ij,kj->...k", V, B, dV)
+    X = np.moveaxis(np.fft.rfft(dV * vBv[..., None] - V * vBdv[..., None], axis=-2), -2, 0) / 4.0
+    trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=-1)
     to_t = np.array([  # (c0, c1, s1, c2, s2) -> coefficients of t^4 .. t^0
         [1.0, -1.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 2.0, 0.0, -4.0],
@@ -564,7 +575,8 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
         [0.0, 0.0, 2.0, 0.0, 4.0],
         [1.0, 1.0, 0.0, 1.0, 0.0],
     ])
-    coef = a @ (trig @ to_t.T)  # (N, 5)
+    M = trig @ to_t.T
+    coef = a @ M if M.ndim == 2 else np.einsum("ni,nij->nj", a, M)  # (N, 5)
     # a vanishing leading coefficient sends a root to infinity (phi = pi,
     # a candidate anyway); bounding it away from 0 keeps the roots finite
     scale = np.abs(coef).max(axis=1)
@@ -577,7 +589,7 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     ang = np.concatenate([2.0 * np.arctan(roots), np.full((h.shape[0], 1), np.pi)], axis=1)
     Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
     num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
-    den = np.einsum("nki,ij,nkj->nk", Vc, B, Vc)
+    den = np.einsum("...ki,...ij,...kj->...k", Vc, B, Vc)
     return np.maximum((num * num / den).max(axis=1), 0.0)
 
 
@@ -588,88 +600,46 @@ def _exact_partition_d1(
     unit: int,
     sign: float,
     budget: int,
+    extras: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact supremum over one true unit's quadratic cone at d = 1.
+    """Exact supremum over one true unit's quadratic cone at d = 1, plus
+    the span of per-draw extra phi columns (N, m, p) if given.
 
     With Q the unit's three phi'' components, T_QQ and h_Q are the
     residual Gram and the residual draws of the shared linear-block
-    residualization (_ConeMaximizer), and the value is v_lin plus the
-    gain of the quadratic block in the T-metric. Budget 1 is the rank-one
-    boundary (_rank1_gain_d1). Budget 2 is the whole 2x2 PSD cone, which
-    is convex: when sign * T^-1 h is PSD the unconstrained optimum
-    h^T T^-1 h is feasible, otherwise the cone projection lies on the
-    rank-one boundary. No ridge: simulate_limit's certificate makes T_QQ
-    positive definite.
+    residualization (_ConeMaximizer). Extra columns are sign-free, so they
+    join the linear part: with y_E = E h, T_EQ = E T_.Q and the metric
+    C = E T E^T + ridge I of _greedy_extra_columns, they add
+    y_E^T C^-1 y_E to v_lin and leave the per-draw residual
+    h_Q - y_E^T C^-1 T_EQ with metric T_QQ - T_QE C^-1 T_EQ. The value is
+    then v_lin plus the gain of the quadratic block in that metric.
+    Budget 1 is the rank-one boundary (_rank1_gain_d1). Budget 2 is the
+    whole 2x2 PSD cone, which is convex: when sign * T^-1 h is PSD the
+    unconstrained optimum h^T T^-1 h is feasible, otherwise the cone
+    projection lies on the rank-one boundary. No ridge on Q:
+    simulate_limit's certificate makes T_QQ positive definite, and with
+    the ridge on C so is the metric left after the extras.
     """
     b = mx.basis
     q_idx = [b.ddphi_index(unit, 0, 0), b.ddphi_index(unit, 0, 1), b.ddphi_index(unit, 1, 1)]
     T = mx.T[np.ix_(q_idx, q_idx)]
-    h = h[:, q_idx]
-    gain = _rank1_gain_d1(h, T, sign)
+    h_q = h[:, q_idx]
+    if extras is not None:
+        ET = extras @ mx.T
+        C = np.einsum("nrp,nsp->nrs", ET, extras) + mx.ridge * np.eye(extras.shape[1])
+        y = np.einsum("nrp,np->nr", extras, h)
+        T_eq = ET[:, :, q_idx]
+        sol = np.linalg.solve(C, np.concatenate([y[..., None], T_eq], axis=2))  # C^-1 [y_E, T_EQ]
+        v_lin = v_lin + np.einsum("nr,nr->n", y, sol[:, :, 0])
+        h_q = h_q - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
+        T = T - np.einsum("nri,nrj->nij", T_eq, sol[:, :, 1:])
+    gain = _rank1_gain_d1(h_q, T, sign)
     if budget == 2:
-        q = np.linalg.solve(T, h.T).T
+        q = np.linalg.solve(T, h_q.T).T if T.ndim == 2 else np.linalg.solve(T, h_q[..., None])[..., 0]
         A = sign * q  # (A00, 2 A01, A11) of the unconstrained optimum
         psd = (A[:, 0] >= 0) & (A[:, 2] >= 0) & (A[:, 0] * A[:, 2] >= 0.25 * A[:, 1] ** 2)
-        gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h, q)), gain)
+        gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h_q, q)), gain)
     return v_lin + gain
-
-
-def _angle_to_dirs(om: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(om), np.sin(om)], axis=-1)
-
-
-def _optimize_partition_d1(
-    mx: _ConeMaximizer,
-    h: np.ndarray,
-    v_lin: np.ndarray,
-    quad_units: list[tuple[int, float]],
-    fixed_cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Coordinate ascent over one angle per quadratic direction (d = 1)."""
-    N = h.shape[0]
-    R = len(quad_units)
-    base = np.zeros((N, 0, mx.basis.dim)) if fixed_cols is None else fixed_cols
-
-    def all_cols(angles: np.ndarray) -> np.ndarray:
-        cols = [
-            _direction_columns(mx.basis, unit, sign, _angle_to_dirs(angles[:, r]))
-            for r, (unit, sign) in enumerate(quad_units)
-        ]
-        return np.concatenate([base, np.stack(cols, axis=1)], axis=1)
-
-    # stagger initial angles so coinciding directions never start degenerate
-    angles = np.tile(np.arange(R) * np.pi / max(R, 1), (N, 1))
-    grid = np.linspace(0.0, np.pi, _SEARCH.angle_grid, endpoint=False)
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    n_sweeps = _SEARCH.sweeps if R > 1 else 1
-    best = v_lin.copy()
-    for _ in range(n_sweeps):
-        for r in range(R):
-            cand = angles.copy()
-            best_r = np.full(N, -np.inf)
-            best_ang = angles[:, r].copy()
-            for om in grid:
-                cand[:, r] = om
-                val = mx.values_with_columns(h, all_cols(cand), v_lin)
-                upd = val > best_r
-                best_ang[upd] = om
-                best_r[upd] = val[upd]
-            lo = best_ang - np.pi / _SEARCH.angle_grid
-            hi = best_ang + np.pi / _SEARCH.angle_grid
-            for _ in range(_SEARCH.golden_iters):
-                m1 = hi - gr * (hi - lo)
-                m2 = lo + gr * (hi - lo)
-                cand[:, r] = m1
-                v1 = mx.values_with_columns(h, all_cols(cand), v_lin)
-                cand[:, r] = m2
-                v2 = mx.values_with_columns(h, all_cols(cand), v_lin)
-                take1 = v1 >= v2
-                hi = np.where(take1, m2, hi)
-                lo = np.where(take1, lo, m1)
-            angles[:, r] = 0.5 * (lo + hi)
-            val = mx.values_with_columns(h, all_cols(angles), v_lin)
-            np.maximum(best, np.maximum(val, best_r), out=best)
-    return best
 
 
 def _optimize_partition_general(
@@ -680,12 +650,13 @@ def _optimize_partition_general(
     seed_key: tuple,
     fixed_cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sphere search for d > 1: deterministic restarts refined by golden
-    rotations in coordinate planes (batched across draws)."""
+    """Sphere search over one direction per quadratic unit, for any d:
+    deterministic restarts refined by golden rotations in coordinate
+    planes (batched across draws). Extra phi columns (fixed_cols) enter
+    every evaluation sign-free."""
     N = h.shape[0]
     p1 = mx.basis.d + 1
     R = len(quad_units)
-    base = np.zeros((N, 0, mx.basis.dim)) if fixed_cols is None else fixed_cols
     rng = np.random.default_rng([abs(hash(seed_key)) % 2**32])
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     best = v_lin.copy()
@@ -699,7 +670,7 @@ def _optimize_partition_general(
                 _direction_columns(mx.basis, unit, sign, dirs_arr[:, r, :])
                 for r, (unit, sign) in enumerate(quad_units)
             ]
-            return np.concatenate([base, np.stack(cols, axis=1)], axis=1)
+            return np.stack(cols, axis=1)
 
         for _ in range(_SEARCH.sweeps):
             for r in range(R):
@@ -719,10 +690,10 @@ def _optimize_partition_general(
                         m2 = lo + gr * (hi - lo)
                         d1 = dirs.copy()
                         d1[:, r, :] = np.cos(m1)[:, None] * u + np.sin(m1)[:, None] * v
-                        v1 = mx.values_with_columns(h, cols_from(d1), v_lin)
+                        v1 = mx.values_with_columns(h, cols_from(d1), v_lin, fixed_cols)
                         d2 = dirs.copy()
                         d2[:, r, :] = np.cos(m2)[:, None] * u + np.sin(m2)[:, None] * v
-                        v2 = mx.values_with_columns(h, cols_from(d2), v_lin)
+                        v2 = mx.values_with_columns(h, cols_from(d2), v_lin, fixed_cols)
                         take1 = v1 >= v2
                         hi = np.where(take1, m2, hi)
                         lo = np.where(take1, lo, m1)
@@ -730,7 +701,7 @@ def _optimize_partition_general(
                     nd = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v
                     nd[~ok] = u[~ok]
                     dirs[:, r, :] = nd
-        np.maximum(best, mx.values_with_columns(h, cols_from(dirs), v_lin), out=best)
+        np.maximum(best, mx.values_with_columns(h, cols_from(dirs), v_lin, fixed_cols), out=best)
     return best
 
 
@@ -746,8 +717,9 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
     pivoted Cholesky factor then updates y and the diagonal of C, so every
     array is (N, J). Each column is oriented by the sign of its
     coefficient in the draw's fit on all chosen columns, so the
-    sign-constrained values_with_columns call that scores the partition
-    returns that fit's value. Returns per-draw fixed columns (N, chosen, p).
+    values_with_columns call that scores a partition without quadratic
+    directions, which holds its columns sign-constrained, returns that
+    fit's value. Returns per-draw columns (N, chosen, p).
     """
     N, p = h.shape
     extra = mx.basis.core_dim + np.arange(len(mx.basis.extra_w))
@@ -788,15 +760,17 @@ def simulate_limit(
     supremum of (max(c^T g, 0))^2 / (c^T sigma c) is maximized over every
     partition's cone of realizable coefficient vectors (ConeSpec); the
     normalization sits in the Rayleigh denominator so the scale of c is
-    immaterial. The linear block is residualized once (_ConeMaximizer),
-    and each partition goes to one solver in that residual process,
-    recorded per draw in ``path`` for the winning partition: the linear
-    block alone (with extra phi columns chosen greedily in closed form on
-    the extended index set); at d = 1 the closed forms for one true unit's
-    rank-one or full PSD cone; and otherwise the fallback searches with
-    the settings _SEARCH. The core basis must pass check_h4 at its
-    default tolerance. Deterministic given the seed (draw i uses the
-    stream (seed, i)).
+    immaterial. The linear block is residualized once (_ConeMaximizer).
+    On the extended index set, each partition's free units add up to that
+    many extra phi columns, chosen greedily per draw in closed form
+    (_greedy_extra_columns); they are sign-free. Each partition goes to
+    one solver in the residual process, recorded per draw in ``path`` for
+    the winning partition: the linear block (plus any extra columns)
+    alone; at d = 1, the closed forms for one true unit's rank-one or full
+    PSD cone, extra columns included; otherwise (d > 1, or quadratic
+    directions on several true units) the sphere search with the settings
+    _SEARCH. The core basis must pass check_h4 at its default tolerance.
+    Deterministic given the seed (draw i uses the stream (seed, i)).
     """
     k0, d = spec.k0, spec.input_dim
     if k < k0:
@@ -850,13 +824,10 @@ def simulate_limit(
         if not quad_units:
             paths.append("linear")
             per_part[pi] = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
-        elif d == 1 and fixed is None and len(set(quad_units)) == 1:
+        elif d == 1 and len(set(quad_units)) == 1:
             unit, sign = quad_units[0]
             paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
-            per_part[pi] = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units))
-        elif d == 1:
-            paths.append("search")
-            per_part[pi] = _optimize_partition_d1(mx, h, v_lin, quad_units, fixed)
+            per_part[pi] = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed)
         else:
             paths.append("search")
             per_part[pi] = _optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed)

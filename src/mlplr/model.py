@@ -248,23 +248,31 @@ def _push_out(vec: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.nda
     return _unit_norms(W) if pushed else norms
 
 
+def _feasibility(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> tuple[bool, np.ndarray, float | None]:
+    """The one description of the feasible set: whether vec lies in it,
+    with the unit norms and, when the lower bounds hold, the vector norm
+    the decision computed (None when a lower bound fails)."""
+    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
+    if not _lower_ok(vec[1 : 1 + k], norms, box):
+        return False, norms, None
+    nrm = _norm(vec)
+    return nrm <= box.M, norms, nrm
+
+
 def _settle(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
     """Lower-bound pass on vec, in place, where a bound fails; returns
     whether vec is then feasible."""
-    amps = vec[1 : 1 + k]
-    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
-    if not _lower_ok(amps, norms, box):
-        norms = _push_out(vec, k, d, box, norms)
-        if not _lower_ok(amps, norms, box):
-            return False
-    return _norm(vec) <= box.M
+    ok, norms, nrm = _feasibility(vec, k, d, box)
+    if nrm is not None:
+        return ok
+    norms = _push_out(vec, k, d, box, norms)
+    return _lower_ok(vec[1 : 1 + k], norms, box) and _norm(vec) <= box.M
 
 
 def feasible_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
     """Whether a flattened parameter vector lies in the feasible set: the
     decision project_vector makes before it changes anything."""
-    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
-    return _lower_ok(vec[1 : 1 + k], norms, box) and _norm(vec) <= box.M
+    return _feasibility(vec, k, d, box)[0]
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
@@ -285,11 +293,10 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
     is a new array and vec is left as it was. ProjectionError means eta
     and M leave no room for k units.
     """
-    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
-    if _lower_ok(vec[1 : 1 + k], norms, box):
-        nrm = _norm(vec)
-        if nrm <= box.M:
-            return vec
+    ok, norms, nrm = _feasibility(vec, k, d, box)
+    if ok:
+        return vec
+    if nrm is not None:
         base = vec  # the lower-bound pass would leave it as it is
     else:
         base = vec.copy()

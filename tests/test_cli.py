@@ -116,12 +116,19 @@ class TestSelectAndLimit:
         assert h4["reports"]["gh"]["passed"] and h4["reports"]["mc"]["passed"]
 
     def test_limit_extended_flag(self, workdir):
-        code = run(
-            ["limit", "--spec", workdir / "spec.json", "--k", 2, "--draws", 40,
-             "--extended-index-set", "--box", workdir / "box.json",
-             "--out", "limit_ext.csv", "--out-dir", workdir]
-        )
-        assert code == 0
+        for k in (2, 3):
+            code = run(
+                ["limit", "--spec", workdir / "spec.json", "--k", k, "--draws", 40,
+                 "--extended-index-set", "--box", workdir / "box.json",
+                 "--out", f"limit_ext{k}.csv", "--out-dir", workdir]
+            )
+            assert code == 0
+            # at d = 1 every single-unit cone is solved in closed form,
+            # extra phi columns included
+            lines = (workdir / f"limit_ext{k}.csv").read_text().splitlines()
+            assert lines[1] == "value,best_partition,path"
+            paths = {line.rsplit(",", 1)[1] for line in lines[2:]}
+            assert paths and "search" not in paths, k
 
     def test_invalid_schedule_is_config_error(self, workdir):
         run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])

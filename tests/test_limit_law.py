@@ -40,9 +40,86 @@ from mlplr.limit_law import (
 
 
 def _desk_draws(gram, n, seed):
-    factor = np.linalg.cholesky(gram.sigma)
+    """simulate_limit's draws g, jittered factor included."""
     p = gram.basis.dim
+    try:
+        factor = np.linalg.cholesky(gram.sigma)
+    except np.linalg.LinAlgError:
+        factor = np.linalg.cholesky(gram.sigma + 1e-12 * float(np.trace(gram.sigma)) / p * np.eye(p))
     return np.stack([factor @ np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
+
+
+def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
+    """Frozen copy of the coordinate-ascent search over one angle per
+    quadratic direction that scored the d = 1 cones with extra phi columns
+    before they had a closed form (64-angle grid, 48 golden-section steps,
+    3 sweeps). The extra columns enter sign-constrained, in the
+    orientation _greedy_extra_columns gives them."""
+    angle_grid, golden_iters, sweeps = 64, 48, 3
+    N = h.shape[0]
+    R = len(quad_units)
+
+    def all_cols(angles):
+        cols = [
+            _direction_columns(mx.basis, unit, sign, np.stack([np.cos(angles[:, r]), np.sin(angles[:, r])], axis=-1))
+            for r, (unit, sign) in enumerate(quad_units)
+        ]
+        return np.concatenate([fixed_cols, np.stack(cols, axis=1)], axis=1)
+
+    angles = np.tile(np.arange(R) * np.pi / max(R, 1), (N, 1))
+    grid = np.linspace(0.0, np.pi, angle_grid, endpoint=False)
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    best = v_lin.copy()
+    for _ in range(sweeps if R > 1 else 1):
+        for r in range(R):
+            cand = angles.copy()
+            best_r = np.full(N, -np.inf)
+            best_ang = angles[:, r].copy()
+            for om in grid:
+                cand[:, r] = om
+                val = mx.values_with_columns(h, all_cols(cand), v_lin)
+                upd = val > best_r
+                best_ang[upd] = om
+                best_r[upd] = val[upd]
+            lo = best_ang - np.pi / angle_grid
+            hi = best_ang + np.pi / angle_grid
+            for _ in range(golden_iters):
+                m1 = hi - gr * (hi - lo)
+                m2 = lo + gr * (hi - lo)
+                cand[:, r] = m1
+                v1 = mx.values_with_columns(h, all_cols(cand), v_lin)
+                cand[:, r] = m2
+                v2 = mx.values_with_columns(h, all_cols(cand), v_lin)
+                take1 = v1 >= v2
+                hi = np.where(take1, m2, hi)
+                lo = np.where(take1, lo, m1)
+            angles[:, r] = 0.5 * (lo + hi)
+            val = mx.values_with_columns(h, all_cols(angles), v_lin)
+            np.maximum(best, np.maximum(val, best_r), out=best)
+    return best
+
+
+def _frozen_extended_draws(spec, k, gram, n, seed):
+    """Extended-index-set draws at d = 1, k0 = 1 as simulate_limit gave
+    them when the cones with extra phi columns went to the frozen search."""
+    mx = _ConeMaximizer(gram)
+    g = _desk_draws(gram, n, seed)
+    v_lin = mx.linear_values(g)
+    h = mx.residual(g)
+    signs = np.sign([u.a for u in spec.theta0.units])
+    best = np.full(n, -np.inf)
+    for part in enumerate_partitions(k, 1):
+        quad_units = ConeSpec(part, gram.basis, signs).quad_units()
+        n_free = k - part.total_units
+        fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
+        if not quad_units:
+            val = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
+        elif fixed is None:
+            val = _exact_partition_d1(mx, h, v_lin, *quad_units[0], len(quad_units))
+        else:
+            val = _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed)
+        np.maximum(best, val, out=best)
+    return best
 
 
 def _block_values_with_columns(gram, ridge, g, cols, v_lin):
@@ -459,7 +536,9 @@ class TestSimulateLimit:
 
 class TestExactConeD1:
     """The d = 1 closed forms against a dense search over the columns the
-    fallback search would use, scored without a ridge."""
+    fallback search would use, scored without a ridge; on the extended
+    index set, with the greedily chosen extra phi columns entering every
+    column set sign-free."""
 
     N = 6
 
@@ -469,6 +548,15 @@ class TestExactConeD1:
         g = _desk_draws(gram, self.N, seed=61)
         mx = _ConeMaximizer(gram)
         return gram, mx.residual(g), mx.linear_values(g), mx, _ConeMaximizer(gram, ridge=0.0)
+
+    @pytest.fixture(scope="class")
+    def extended(self, desk_spec, desk_box):
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(1.0, 10.0)))
+        gram = gram_matrix_gh(desk_spec, basis=basis)
+        g = _desk_draws(gram, self.N, seed=61)
+        plain = _ConeMaximizer(gram, ridge=0.0)
+        h = plain.residual(g)
+        return gram, h, plain.linear_values(g), plain, _greedy_extra_columns(plain, h, 2)
 
     @staticmethod
     def _columns(gram, sign, n):
@@ -480,26 +568,25 @@ class TestExactConeD1:
         assert np.all(exact >= brute - 1e-9 * (1.0 + np.abs(brute)))
         assert np.all(exact - brute <= resolution)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_rank1_matches_dense_angle_search(self, setup, sign):
-        gram, h, v_lin, mx, plain = setup
+    def _rank1_search(self, gram, h, v_lin, plain, sign, extras=None):
+        """Best value over 4096 angles, and how far it can be from the
+        maximum: within one grid step of the best grid angle."""
         n = 4096
         cols = self._columns(gram, sign, n)
+        rep = None if extras is None else np.repeat(extras, n, axis=0)
         vals = plain.values_with_columns(
-            np.repeat(h, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n)
+            np.repeat(h, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n), rep
         ).reshape(self.N, n)
         best = np.argmax(vals, axis=1)
         rows = np.arange(self.N)
-        # the maximum lies within one grid step of the best grid angle
         resolution = np.maximum(
             np.abs(vals[rows, best] - vals[rows, (best - 1) % n]),
             np.abs(vals[rows, best] - vals[rows, (best + 1) % n]),
         )
-        self._check(_exact_partition_d1(mx, h, v_lin, 0, sign, 1), vals.max(axis=1), resolution)
+        return vals.max(axis=1), resolution
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_psd_matches_dense_angle_pair_search(self, setup, sign):
-        gram, h, v_lin, mx, plain = setup
+    def _pair_search(self, gram, h, v_lin, plain, sign, extras=None):
+        """Best value over pairs of 256 angles, and its grid resolution."""
         n = 256
         cols = self._columns(gram, sign, n)
         I, J = np.triu_indices(n, 1)  # equal angles give a singular system
@@ -507,7 +594,8 @@ class TestExactConeD1:
         brute = np.empty(self.N)
         resolution = np.empty(self.N)
         for d in range(self.N):
-            vals = plain.values_with_columns(np.tile(h[d], (len(I), 1)), pair_cols, np.full(len(I), v_lin[d]))
+            rep = None if extras is None else np.repeat(extras[d : d + 1], len(I), axis=0)
+            vals = plain.values_with_columns(np.tile(h[d], (len(I), 1)), pair_cols, np.full(len(I), v_lin[d]), rep)
             grid = np.full((n, n), np.nan)
             grid[I, J] = vals
             grid[J, I] = vals
@@ -515,9 +603,31 @@ class TestExactConeD1:
             near = [grid[(i + a) % n, (j + b) % n] for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
             brute[d] = vals.max()
             resolution[d] = np.nanmax(np.abs(brute[d] - np.array(near)))
+        return brute, resolution
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rank1_matches_dense_angle_search(self, setup, sign):
+        gram, h, v_lin, mx, plain = setup
+        self._check(_exact_partition_d1(mx, h, v_lin, 0, sign, 1), *self._rank1_search(gram, h, v_lin, plain, sign))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_psd_matches_dense_angle_pair_search(self, setup, sign):
+        gram, h, v_lin, mx, plain = setup
         exact = _exact_partition_d1(mx, h, v_lin, 0, sign, 2)
-        self._check(exact, brute, resolution)
+        self._check(exact, *self._pair_search(gram, h, v_lin, plain, sign))
         assert np.all(exact >= _exact_partition_d1(mx, h, v_lin, 0, sign, 1))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_extra_columns_match_dense_search(self, extended, sign, budget):
+        gram, h, v_lin, plain, extras = extended
+        search = self._rank1_search if budget == 1 else self._pair_search
+        exact = _exact_partition_d1(plain, h, v_lin, 0, sign, budget, extras)
+        self._check(exact, *search(gram, h, v_lin, plain, sign, extras))
+        # the extra columns enter: the value beats the cone without them
+        without = _exact_partition_d1(plain, h, v_lin, 0, sign, budget)
+        assert np.all(exact >= without - 1e-9 * (1.0 + without))
+        assert np.mean(exact > without + 1e-6) > 0.5
 
     @staticmethod
     def _one_call_per_candidate(gram, g, v_lin, n_free, refit_signs):
@@ -611,3 +721,75 @@ class TestResidualizedConeValues:
         got = mx.values_with_columns(mx.residual(g), cols, v_lin)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
         assert np.mean(got > v_lin) > 0.3  # the columns do enter
+
+
+class TestExtendedD1ClosedForm:
+    """Every d = 1 cone of one true unit is solved in closed form, also
+    with extra phi columns; quadratic directions on several true units go
+    to the sphere search."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_never_below_the_frozen_search(self, desk_spec, desk_box, k):
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
+        gram = gram_matrix_gh(desk_spec, basis=basis)
+        sample = simulate_limit(desk_spec, k, gram, 300, seed=73, extended=True)
+        ref = _frozen_extended_draws(desk_spec, k, gram, 300, 73)
+        assert "search" not in set(sample.path)
+        if k == 2:  # no cone with extra columns: the reference is today's law
+            np.testing.assert_array_equal(sample.values, ref)
+            return
+        assert np.all(sample.values >= ref - 1e-12 * (1.0 + np.abs(ref)))
+        if k == 4:  # sign-free extras and the exact cone beat the search
+            assert np.any(sample.values > ref + 1e-6 * (1.0 + np.abs(ref)))
+
+    def test_several_true_units_use_the_search(self, monkeypatch):
+        """k0 = 2, d = 1: at k = 4 the partition (0, 2, 4) has one
+        quadratic direction on each true unit, which the sphere search
+        handles; k = 3 has only single-unit cones."""
+        units = [HiddenUnit(1.0, np.array([2.70081007, -2.81680757])),
+                 HiddenUnit(1.5, np.array([-2.60333845, -2.83310456]))]
+        spec = RegressionSpec(MlpParams(0.5, units), 1.0, 1)
+        gram = gram_matrix_gh(spec)
+        assert 1e-8 <= check_h4(gram).min_eigenvalue <= 1e-6  # certified, barely (3.0e-7)
+        calls = []
+        search = mlplr.limit_law._optimize_partition_general
+
+        def spy(mx, h, v_lin, quad_units, *args):
+            calls.append(quad_units)
+            return search(mx, h, v_lin, quad_units, *args)
+
+        monkeypatch.setattr(mlplr.limit_law, "_optimize_partition_general", spy)
+        s3 = simulate_limit(spec, 3, gram, 100, seed=79)
+        assert not calls and "search" not in set(s3.path)
+        s4 = simulate_limit(spec, 4, gram, 100, seed=79)
+        assert calls == [[(0, 1.0), (1, 1.0)]]
+        assert np.all(np.isfinite(s4.values))
+        assert np.all(s3.values <= s4.values)
+
+
+class TestSignFreeExtras:
+    def test_d2_extended_value_dominates_both_orientations(self, desk_box):
+        """values_with_columns with extras: sign-free extra columns in
+        every active subset give the best value over the fixed
+        orientations of them held sign-constrained, which the greedy
+        orientation alone falls short of."""
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
+        spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
+        basis = ScoreBasis(2, 2, extended_grid(desk_box, 2, n_angles=6, radii=(1.0, 5.0)))
+        gram = gram_matrix(spec, 20_000, seed=3, basis=basis)
+        mx = _ConeMaximizer(gram)
+        g = _desk_draws(gram, 200, seed=83)
+        h = mx.residual(g)
+        v_lin = mx.linear_values(g)
+        extras = _greedy_extra_columns(mx, h, 2)
+        rng = np.random.default_rng(89)
+        cols = np.stack([_direction_columns(gram.basis, u, 1.0, rng.standard_normal((200, 3))) for u in (0, 1)], axis=1)
+        got = mx.values_with_columns(h, cols, v_lin, extras)
+        fixed = {}
+        for signs in itertools.product((1.0, -1.0), repeat=2):
+            cols_s = np.concatenate([extras * np.array(signs)[None, :, None], cols], axis=1)
+            fixed[signs] = mx.values_with_columns(h, cols_s, v_lin)
+            assert np.all(got >= fixed[signs] - 1e-12 * (1.0 + np.abs(fixed[signs])))
+        best_fixed = np.max(list(fixed.values()), axis=0)
+        assert np.all(got <= best_fixed + 1e-9 * (1.0 + best_fixed))
+        assert np.any(got > fixed[(1.0, 1.0)] + 1e-6 * (1.0 + got))
