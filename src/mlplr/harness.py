@@ -3,7 +3,6 @@ width selection frequencies, and comparison against the simulated limit."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -254,6 +253,8 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> ReplicateMatri
     """
     tasks = [(r, ni) for r in range(config.replicates) for ni in range(len(config.n_grid))]
     if threads > 1:
+        import concurrent.futures
+
         cfg = config.to_dict()
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_one_packed, [(cfg, r, ni) for r, ni in tasks], chunksize=1))

@@ -746,6 +746,108 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
     return chosen
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx): pool of four
+# uint32 words, hashmix/mix multipliers and the xor shift
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _stream_words(seed: int, n: int) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every
+    i < n, as an (n, 4) uint64 array.
+
+    SeedSequence's entropy is seed's little-endian uint32 words followed
+    by i's single word; its hash constants evolve the same way for every
+    entropy, so the pool mixing and the state expansion run once over
+    (n,) uint32 columns in wrapping uint32 arithmetic.
+    """
+    seed = int(seed)
+    entropy = [np.full(n, (seed >> s) & 0xFFFFFFFF, np.uint32) for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _SS_INIT_B
+    state = np.empty((n, 8), np.uint32)
+    for j in range(8):
+        value = pool[j % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed:
+    """numpy's ISeedSequence holding one row of _stream_words: PCG64 seeded
+    with it starts the stream of SeedSequence([seed, i]). Registered as an
+    ISeedSequence on first use, so importing mlplr leaves numpy.random
+    unloaded."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"PCG64 asked for {n_words} words of {np.dtype(dtype)}, the stream holds 4 of uint64")
+        return self.words
+
+
+def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
+    """(n_draws, p) draws from N(0, sigma): row i is the lower Cholesky
+    factor of sigma times default_rng([seed, i]).standard_normal(p).
+
+    The per-draw SeedSequence words come from one vectorized pass
+    (_stream_words), checked at i = 0 against numpy's own SeedSequence,
+    which also rejects a negative seed. The factor maps every draw by its
+    own matrix-vector product, so each row has the bits of factor @ z.
+    """
+    if n_draws >= 2**32:
+        raise ValueError(f"n_draws must be below 2**32 (one uint32 entropy word), got {n_draws}")
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StreamSeed)
+    reference = SeedSequence([seed, 0]).generate_state(4, np.uint64)
+    words = _stream_words(seed, n_draws)
+    if n_draws and not np.array_equal(words[0], reference):
+        raise RuntimeError("vectorized SeedSequence words differ from numpy's SeedSequence([seed, 0])")
+    p = sigma.shape[0]
+    # Cholesky keeps the factor nested in the basis prefix, so draws on a
+    # common seed stay comparable draw by draw across widths and between
+    # the core and extended index sets
+    try:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * float(np.trace(sigma)) / p
+        factor = np.linalg.cholesky(sigma + jitter * np.eye(p))
+    z = np.empty((n_draws, p))
+    for i in range(n_draws):
+        Generator(PCG64(_StreamSeed(words[i]))).standard_normal(out=z[i])
+    return (factor[None] @ z[..., None])[..., 0]
+
+
 def simulate_limit(
     spec: RegressionSpec,
     k: int,
@@ -770,7 +872,13 @@ def simulate_limit(
     PSD cone, extra columns included; otherwise (d > 1, or quadratic
     directions on several true units) the sphere search with the settings
     _SEARCH. The core basis must pass check_h4 at its default tolerance.
-    Deterministic given the seed (draw i uses the stream (seed, i)).
+
+    Deterministic given the seed: draw i is exactly
+    default_rng([seed, i]).standard_normal(p) mapped by the lower Cholesky
+    factor of sigma (jittered if sigma is singular to rounding). The
+    SeedSequence words of all n_draws streams are computed in one
+    vectorized pass and each seeds its own PCG64 (_gaussian_draws); seed
+    must be a non-negative integer and n_draws below 2**32.
     """
     k0, d = spec.k0, spec.input_dim
     if k < k0:
@@ -792,18 +900,10 @@ def simulate_limit(
             f"gram fails the linear-independence certificate "
             f"(min scaled eigenvalue {rep.min_eigenvalue:.3e} < {rep.tol:.1e})"
         )
-    p = gram.basis.dim
-    # Cholesky keeps the factor nested in the basis prefix, so draws on a
-    # common seed stay comparable draw by draw across widths and between
-    # the core and extended index sets
-    try:
-        factor = np.linalg.cholesky(gram.sigma)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(gram.sigma)) / p
-        factor = np.linalg.cholesky(gram.sigma + jitter * np.eye(p))
-    g = np.empty((n_draws, p))
-    for i in range(n_draws):
-        g[i] = factor @ np.random.default_rng([seed, i]).standard_normal(p)
+    g = _gaussian_draws(gram.sigma, n_draws, seed)
+    # allocated before the cone solvers' temporaries, so a caller that
+    # keeps many samples does not strand each one above their freed heap
+    values = np.empty(n_draws)
 
     mx = _ConeMaximizer(gram)
     v_lin = mx.linear_values(g)
@@ -832,7 +932,7 @@ def simulate_limit(
             paths.append("search")
             per_part[pi] = _optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed)
     best_idx = np.argmax(per_part, axis=0)
-    values = per_part[best_idx, np.arange(n_draws)]
+    values[:] = per_part[best_idx, np.arange(n_draws)]
     return LimitSample(
         values=values,
         k=k,

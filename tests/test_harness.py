@@ -170,6 +170,11 @@ class TestRunReplicates:
         assert back.to_dict() == config.to_dict()
         assert back.hash() == config.hash()
 
+    def test_import_leaves_concurrent_futures_unloaded(self, modules_after_import):
+        """The process pool's module is imported by the threads > 1 branch
+        alone, so serial runs never load it."""
+        assert "concurrent.futures" not in modules_after_import
+
 
 class TestExpansionDecay:
     def test_cubic_decay_profile(self, desk_spec):

@@ -1,10 +1,6 @@
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +27,10 @@ from mlplr.limit_law import (
     _ConeMaximizer,
     _direction_columns,
     _exact_partition_d1,
+    _gaussian_draws,
     _greedy_extra_columns,
+    _stream_words,
+    _StreamSeed,
     eval_score_basis_batch,
     extended_grid,
     load_gram,
@@ -40,7 +39,8 @@ from mlplr.limit_law import (
 
 
 def _desk_draws(gram, n, seed):
-    """simulate_limit's draws g, jittered factor included."""
+    """Frozen copy of the per-draw loop that built simulate_limit's draws
+    g, one default_rng([seed, i]) per draw, jittered factor included."""
     p = gram.basis.dim
     try:
         factor = np.linalg.cholesky(gram.sigma)
@@ -329,14 +329,9 @@ class TestDeltaFeasible:
     def test_positively_spanning_triple(self):
         assert delta_feasible([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])])
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_optimize_unloaded(self, modules_after_import):
         """scipy.optimize is imported by delta_feasible alone, on first use."""
-        src = str(Path(mlplr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, mlplr; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert "scipy.optimize" not in modules_after_import
 
 
 class TestNormalizeScore:
@@ -532,6 +527,72 @@ class TestSimulateLimit:
         # the core components of g (by up to 1.5e-5 in value here)
         assert np.all(ext.values >= core.values - 1e-3)
         assert np.mean(ext.values > core.values + 1e-6) > 0.2
+
+
+class TestGaussianDraws:
+    """simulate_limit seeds every draw's stream in one vectorized pass; its
+    draws must stay those of one default_rng([seed, i]) per draw."""
+
+    # 2**128 + 7 has five words: SeedSequence mixes entropy beyond its
+    # four-word pool in a loop of its own
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**95, 2**128 + 7])
+    def test_stream_words_match_seed_sequence(self, seed):
+        ref = np.stack([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64) for i in range(3000)])
+        got = _stream_words(seed, 3000)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.fixture(scope="class", params=["desk_core_gh", "desk_extended_gh", "d2_mc"])
+    def case(self, request, desk_spec, desk_box):
+        """(spec, k, gram, extended) for one simulate_limit call."""
+        if request.param == "desk_core_gh":
+            return desk_spec, 3, gram_matrix_gh(desk_spec), False
+        if request.param == "desk_extended_gh":
+            basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
+            gram = gram_matrix_gh(desk_spec, basis=basis)
+            with pytest.raises(np.linalg.LinAlgError):  # the jittered-factor branch
+                np.linalg.cholesky(gram.sigma)
+            return desk_spec, 2, gram, True
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
+        spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
+        return spec, 3, gram_matrix(spec, 20_000, seed=3), False
+
+    def test_values_match_frozen_per_draw_loop(self, case, monkeypatch):
+        spec, k, gram, extended = case
+        seed = 67
+        n = 40 if spec.input_dim > 1 else 500  # the d = 2 sphere search is slow
+        assert _gaussian_draws(gram.sigma, n, seed).tobytes() == _desk_draws(gram, n, seed).tobytes()
+        got = simulate_limit(spec, k, gram, n, seed, extended=extended).values
+        monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n_draws, s: _desk_draws(gram, n_draws, s))
+        ref = simulate_limit(spec, k, gram, n, seed, extended=extended).values
+        assert got.tobytes() == ref.tobytes()
+
+    def test_negative_seed_is_rejected(self, desk_spec):
+        with pytest.raises(ValueError):
+            simulate_limit(desk_spec, 1, gram_matrix_gh(desk_spec), 10, seed=-1)
+
+    def test_rejects_draw_index_beyond_one_word(self, desk_spec):
+        """Raised before anything of that size is allocated."""
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate_limit(desk_spec, 1, gram_matrix_gh(desk_spec), 2**32, seed=0)
+
+    def test_stream_seed_serves_only_four_uint64_words(self):
+        words = _StreamSeed(_stream_words(5, 1)[0])
+        ref = np.random.SeedSequence([5, 0]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(words.generate_state(4, np.uint64), ref)
+        for request in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]:
+            with pytest.raises(RuntimeError):
+                words.generate_state(*request)
+
+    def test_drifted_words_fail_loudly(self, monkeypatch):
+        monkeypatch.setattr(mlplr.limit_law, "_stream_words", lambda seed, n: _stream_words(seed + 1, n))
+        with pytest.raises(RuntimeError):
+            _gaussian_draws(np.eye(2), 5, 7)
+
+    def test_import_leaves_numpy_random_unloaded(self, modules_after_import):
+        """numpy.random, and the ISeedSequence registration, wait for the
+        first draw."""
+        assert "numpy.random" not in modules_after_import
 
 
 class TestExactConeD1:
