@@ -4,13 +4,18 @@ With Gaussian noise the MLE is a constrained least-squares fit; the
 supremum is approximated by multi-start projected L-BFGS with an Armijo
 backtracking line search along the projected arc. A trial point on the arc
 that is not a descent step (slope g.(cand - vec) >= 0) is rejected without
-evaluating the objective there. Gradients are analytic (one-layer
-backpropagation) and validated against finite differences in the test
-suite.
+evaluating the objective there. The objective is split in two: negloss
+gives the loss with the unit outputs and residuals it computed, and
+negloss_grad builds the gradient from them, so the line search evaluates
+the loss at its trial points and the gradient only at the accepted one.
+The trial points of one search are projected in one stacked call of
+project_vector. Gradients are analytic (one-layer backpropagation) and
+validated against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +27,7 @@ from .model import (
     HiddenUnit,
     MlpParams,
     _norm,
+    _projection_error,
     _sigmoid,
     augment,
     project_vector,
@@ -47,8 +53,13 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
+        # written so that NaN fails: every comparison with NaN is false
+        if not (0 < self.grad_tol < math.inf and 0 < self.step_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not math.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
 
     def to_dict(self) -> dict:
         d = {
@@ -107,8 +118,10 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def negloss_and_grad(vec: np.ndarray, Xa: np.ndarray, y: np.ndarray, sigma2: float, k: int, d: int):
-    """Residual half-sum-of-squares over sigma2 and its gradient.
+def negloss(vec: np.ndarray, Xa: np.ndarray, y: np.ndarray, sigma2: float, k: int, d: int):
+    """Residual half-sum-of-squares over sigma2, with the unit outputs P
+    (n, k) and the residuals r (n,) it computed; negloss_grad builds the
+    gradient from them.
 
     vec is the flattened (beta, a, w) parameter; Xa the augmented inputs.
     Minimizing this is equivalent to maximizing the conditional
@@ -117,16 +130,29 @@ def negloss_and_grad(vec: np.ndarray, Xa: np.ndarray, y: np.ndarray, sigma2: flo
     beta = vec[0]
     a = vec[1 : 1 + k]
     W = vec[1 + k :].reshape(k, d + 1)
-    T = Xa @ W.T
-    P = _sigmoid(T)
+    P = _sigmoid(Xa @ W.T)
     r = y - (beta + P @ a)
-    f = 0.5 * float(r @ r) / sigma2
+    return 0.5 * float(r.dot(r)) / sigma2, P, r
+
+
+def negloss_grad(vec: np.ndarray, Xa: np.ndarray, P: np.ndarray, r: np.ndarray, sigma2: float, k: int):
+    """Gradient of negloss at vec (one-layer backpropagation), from the P
+    and r that negloss computed there."""
+    a = vec[1 : 1 + k]
     grad = np.empty_like(vec)
     grad[0] = -r.sum() / sigma2
     grad[1 : 1 + k] = -(P.T @ r) / sigma2
     DP = P * (1.0 - P)
     grad[1 + k :] = (-(a[:, None] * ((DP * r[:, None]).T @ Xa)) / sigma2).ravel()
-    return f, grad
+    return grad
+
+
+def negloss_and_grad(vec: np.ndarray, Xa: np.ndarray, y: np.ndarray, sigma2: float, k: int, d: int):
+    """The objective and its gradient at vec: negloss followed by
+    negloss_grad. The fit calls the two apart, and the gradient only at
+    the points its line search accepts."""
+    f, P, r = negloss(vec, Xa, y, sigma2, k, d)
+    return f, negloss_grad(vec, Xa, P, r, sigma2, k)
 
 
 def loglik_constant(n: int, sigma2: float) -> float:
@@ -139,6 +165,37 @@ def loglik_constant(n: int, sigma2: float) -> float:
 
 _ARMIJO = 1e-4
 _MEMORY = 10
+# trial steps after the first of the quasi-Newton search, and those of the
+# steepest-descent fallback: powers of 1/2 are exact, so each equals the
+# step that repeated halving reaches
+_QN_STEPS = 0.5 ** np.arange(1, 40)[:, None]
+_SD_STEPS = 0.5 ** np.arange(60)[:, None]
+
+
+def _first_accepted(rows, vec, f, g, Xa, y, sigma2, k, d, box, armijo):
+    """The first row of the projected trial stack rows that passes the
+    search's test, as (cand, f, P, r), or None when no row does.
+
+    With armijo the test is the Armijo condition on the slope
+    g.(cand - vec), and a row with slope >= 0 (or NaN) fails it whatever
+    the objective there, so the loss is evaluated only at descent rows.
+    Otherwise the test is a plain decrease. The rows are taken in order,
+    and a row the projection could not map (NaN) raises ProjectionError
+    once the search reaches it.
+    """
+    if armijo:
+        # the stacked product calls the BLAS dot per row that g.dot(row)
+        # calls, so each slope has the bits of a one-row search
+        slopes = np.matmul((rows - vec)[:, None, :], g[:, None])[:, 0, 0].tolist()
+    for i, beta in enumerate(rows[:, 0].tolist()):
+        if beta != beta:
+            raise _projection_error(k, d, box)
+        if armijo and not slopes[i] < 0:
+            continue
+        fc, P, r = negloss(rows[i], Xa, y, sigma2, k, d)
+        if (fc <= f + _ARMIJO * slopes[i]) if armijo else (fc < f):
+            return rows[i], fc, P, r
+    return None
 
 
 def _optimize_single(
@@ -153,63 +210,59 @@ def _optimize_single(
 ):
     """One projected quasi-Newton run; returns (vec, f, converged, iters, f_trace).
 
-    The Armijo search halves the step along the projected arc. The slope
-    of a trial point is known before the objective is, and a point with
-    slope >= 0 (or NaN) fails the test whatever the objective there, so
-    such points are rejected without evaluating it.
+    The Armijo search halves the step along the projected arc, up to 40
+    steps, then falls back to up to 60 halved steps of projected steepest
+    descent. Each iteration projects the projected-gradient test's row
+    and the first trial step in one call; when the first step fails, the
+    other 39 go in one call, and the fallback's 60 in another. The loss
+    is evaluated at trial points, and the gradient only at the accepted
+    one, from the loss's intermediate arrays.
     """
     vec = project_vector(np.asarray(vec0, dtype=float), k, d, box)
-    f, g = negloss_and_grad(vec, Xa, y, sigma2, k, d)
+    f, P, r = negloss(vec, Xa, y, sigma2, k, d)
+    g = negloss_grad(vec, Xa, P, r, sigma2, k)
     trace = [f]
     S: list[np.ndarray] = []
     Y: list[np.ndarray] = []
     rho: list[float] = []
     for it in range(config.max_iters):
-        pg = vec - project_vector(vec - g, k, d, box)
-        if np.abs(pg).max() <= config.grad_tol:
-            return vec, f, True, it, trace
-
-        # two-loop recursion
+        # two-loop recursion; .dot calls the BLAS dot that @ calls on these
+        # short vectors, with less dispatch
         q = g.copy()
         alphas = []
         for s_, y_, r_ in zip(reversed(S), reversed(Y), reversed(rho)):
-            a_ = r_ * (s_ @ q)
+            a_ = r_ * s_.dot(q)
             alphas.append(a_)
             q -= a_ * y_
         if Y:
-            q *= (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+            q *= S[-1].dot(Y[-1]) / Y[-1].dot(Y[-1])
         for (s_, y_, r_), a_ in zip(zip(S, Y, rho), reversed(alphas)):
-            q += (a_ - r_ * (y_ @ q)) * s_
+            q += (a_ - r_ * y_.dot(q)) * s_
         direction = -q
 
-        accepted = False
-        step = 1.0
-        for _ in range(40):
-            cand = project_vector(vec + step * direction, k, d, box)
-            slope = g @ (cand - vec)
-            if slope < 0:
-                fc, gc = negloss_and_grad(cand, Xa, y, sigma2, k, d)
-                if fc <= f + _ARMIJO * slope:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
+        head = project_vector(np.array((vec - g, vec + direction)), k, d, box)
+        if head[0, 0] != head[0, 0]:
+            raise _projection_error(k, d, box)
+        pg = vec - head[0]
+        if np.abs(pg).max() <= config.grad_tol:
+            return vec, f, True, it, trace
+
+        found = _first_accepted(head[1:], vec, f, g, Xa, y, sigma2, k, d, box, True)
+        if found is None:
+            rows = project_vector(vec + _QN_STEPS * direction, k, d, box)
+            found = _first_accepted(rows, vec, f, g, Xa, y, sigma2, k, d, box, True)
+        if found is None:
             # quasi-Newton direction unusable here: projected steepest descent
-            step = 1.0
-            direction = -g
-            for _ in range(60):
-                cand = project_vector(vec + step * direction, k, d, box)
-                fc, gc = negloss_and_grad(cand, Xa, y, sigma2, k, d)
-                if fc < f:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+            rows = project_vector(vec + _SD_STEPS * -g, k, d, box)
+            found = _first_accepted(rows, vec, f, g, Xa, y, sigma2, k, d, box, False)
+            if found is None:
                 return vec, f, False, it, trace
+        cand, fc, P, r = found
+        gc = negloss_grad(cand, Xa, P, r, sigma2, k)
 
         s_vec = cand - vec
         y_vec = gc - g
-        sy = float(s_vec @ y_vec)
+        sy = float(s_vec.dot(y_vec))
         s_norm = _norm(s_vec)
         if sy > 1e-10 * s_norm * _norm(y_vec):
             S.append(s_vec)

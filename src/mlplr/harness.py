@@ -256,8 +256,12 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> ReplicateMatri
         import concurrent.futures
 
         cfg = config.to_dict()
+        # largest n first, so the longest tasks do not start last and leave
+        # the other workers idle at the end; cells keep the serial order
+        order = sorted(range(len(tasks)), key=lambda i: -config.n_grid[tasks[i][1]])
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one_packed, [(cfg, r, ni) for r, ni in tasks], chunksize=1))
+            futures = {i: pool.submit(_run_one_packed, (cfg, *tasks[i])) for i in order}
+            results = [futures[i].result() for i in range(len(tasks))]
     else:
         results = [_run_one(config, r, ni) for r, ni in tasks]
     cells = [c for group in results for c in group]

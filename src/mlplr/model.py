@@ -207,77 +207,99 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(vec.dot(vec))
 
 
-def _unit_norms(W: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(W, axis=1)'s arithmetic without its dispatch
-    return np.sqrt(np.add.reduce(W * W, axis=1))
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    # _norm of every row: the stacked product calls the BLAS dot per row
+    # that vec.dot(vec) calls (a matrix-vector product would round
+    # differently)
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
 
 
-def _lower_ok(amps: np.ndarray, norms: np.ndarray, box: ConstraintBox) -> bool:
-    """Every amplitude (its absolute value when signs are free) and every
-    unit norm is at least eta.
-
-    A Python min over these few values costs a fraction of two NumPy
-    reductions. A NaN may go either way here: a vector holding one fails
-    the ball test, so it is never feasible.
-    """
-    a = amps if box.positive_amplitudes else np.abs(amps)
-    return min(a.tolist() + norms.tolist()) >= box.eta
+def _unit_norms(V: np.ndarray, k: int, d: int) -> np.ndarray:
+    # np.linalg.norm(W, axis=1)'s arithmetic on every row's (k, d+1)
+    # weight block, without its dispatch
+    W = V[:, 1 + k :].reshape(len(V), k, d + 1)
+    return np.sqrt(np.add.reduce(W * W, axis=-1))
 
 
-def _push_out(vec: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray) -> np.ndarray:
-    """Lower-bound pass, in place: push amplitudes, and the units whose norm
-    (given in norms) is below eta, out to eta. Returns the unit norms after
+def _lower_ok(V: np.ndarray, k: int, norms: np.ndarray, box: ConstraintBox) -> np.ndarray:
+    """Per row: every amplitude (its absolute value when signs are free)
+    and every unit norm is at least eta. A NaN fails."""
+    amps = V[:, 1 : 1 + k]
+    if not box.positive_amplitudes:
+        amps = np.abs(amps)
+    return np.minimum.reduce(np.minimum(amps, norms), axis=1) >= box.eta
+
+
+def _push_out(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray) -> np.ndarray:
+    """Lower-bound pass on the rows of V, in place: push amplitudes, and
+    the units whose norm (given in norms) is below eta, out to eta. A row
+    that meets the bounds is left as it was. Returns the unit norms after
     the pass."""
-    amps = vec[1 : 1 + k]
+    amps = V[:, 1 : 1 + k]
     if box.positive_amplitudes:
         np.maximum(amps, box.eta, out=amps)
     else:
-        small = np.abs(amps) < box.eta
         # zero amplitudes push to +eta (deterministic tie-break)
-        amps[small] = np.where(amps[small] >= 0, box.eta, -box.eta)
-    W = vec[1 + k :].reshape(k, d + 1)
-    pushed = False
-    for i, nrm in enumerate(norms.tolist()):
-        if nrm < box.eta:
-            pushed = True
-            if nrm == 0.0:
-                W[i] = 0.0
-                W[i, 0] = box.eta  # degenerate direction: first coordinate axis
-            else:
-                W[i] *= box.eta / nrm * _PUSH
-    return _unit_norms(W) if pushed else norms
+        amps[...] = np.where(np.abs(amps) < box.eta, np.where(amps >= 0, box.eta, -box.eta), amps)
+    short = norms < box.eta
+    if not np.logical_or.reduce(short, axis=None):
+        return norms
+    zero = norms == 0.0
+    W = V[:, 1 + k :].reshape(len(V), k, d + 1)  # a view: V is C-contiguous
+    W *= np.where(short, box.eta / np.where(zero, 1.0, norms) * _PUSH, 1.0)[..., None]
+    W[zero] = 0.0
+    W[zero, 0] = box.eta  # degenerate direction: first coordinate axis
+    return _unit_norms(V, k, d)
 
 
-def _feasibility(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> tuple[bool, np.ndarray, float | None]:
-    """The one description of the feasible set: whether vec lies in it,
-    with the unit norms and, when the lower bounds hold, the vector norm
-    the decision computed (None when a lower bound fails)."""
-    norms = _unit_norms(vec[1 + k :].reshape(k, d + 1))
-    if not _lower_ok(vec[1 : 1 + k], norms, box):
-        return False, norms, None
-    nrm = _norm(vec)
-    return nrm <= box.M, norms, nrm
+def _bounds(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray | None = None):
+    """The one description of the feasible set, per row of V: whether the
+    row is feasible and whether its lower bounds hold, with the vector
+    norms and unit norms (computed here unless given) the decision used."""
+    if norms is None:
+        norms = _unit_norms(V, k, d)
+    lower = _lower_ok(V, k, norms, box)
+    nrm = _row_norms(V)
+    return lower & (nrm <= box.M), lower, nrm, norms
 
 
-def _settle(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
-    """Lower-bound pass on vec, in place, where a bound fails; returns
-    whether vec is then feasible."""
-    ok, norms, nrm = _feasibility(vec, k, d, box)
-    if nrm is not None:
-        return ok
-    norms = _push_out(vec, k, d, box, norms)
-    return _lower_ok(vec[1 : 1 + k], norms, box) and _norm(vec) <= box.M
+def _settle(V: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
+    """Lower-bound pass on the rows of V, in place, where a bound fails;
+    returns which rows are then feasible."""
+    feasible, lower, _, norms = _bounds(V, k, d, box)
+    if np.logical_and.reduce(lower):
+        return feasible
+    return _bounds(V, k, d, box, _push_out(V, k, d, box, norms))[0]
+
+
+def _rescale(base: np.ndarray, factors: np.ndarray, take: np.ndarray, done: np.ndarray,
+             k: int, d: int, box: ConstraintBox) -> None:
+    """Scale the rows of base marked in take by their factors and re-apply
+    the lower bounds; those that are then feasible replace theirs in base
+    and are marked done, both in place. Scaling every row and keeping the
+    marked ones costs less than gathering them from a small stack."""
+    out = base * factors[:, None]
+    take &= _settle(out, k, d, box)
+    np.copyto(base, out, where=take[:, None])
+    done |= take
+
+
+def _projection_error(k: int, d: int, box: ConstraintBox) -> ProjectionError:
+    return ProjectionError(
+        f"projection failed: eta={box.eta} and M={box.M} are mutually "
+        f"inconsistent for k={k}, d={d}"
+    )
 
 
 def feasible_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
     """Whether a flattened parameter vector lies in the feasible set: the
     decision project_vector makes before it changes anything."""
-    return _feasibility(vec, k, d, box)[0]
+    return bool(_bounds(vec[None], k, d, box)[0][0])
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
-    """Map a flattened parameter vector into the feasible set (the
-    optimizer's hot path).
+    """Map a flattened parameter vector, or each row of an (R, p) stack of
+    them, into the feasible set (the optimizer's hot path).
 
     The projection has two stages. Stage one clamps the amplitudes and
     pushes each w_i radially out to norm eta (a zero w_i goes to eta times
@@ -289,39 +311,43 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
     its sphere. This is a heuristic map onto the feasible set, not the
     Euclidean projection.
 
-    A feasible input is returned as the same object; otherwise the result
-    is a new array and vec is left as it was. ProjectionError means eta
-    and M leave no room for k units.
+    A stack is mapped row by row with the bits a 1-D call gives each row;
+    the branches are masks over the rows. The result is a new (R, p)
+    array, in which a row that cannot be mapped is NaN, so a row the
+    caller never reads cannot fail the call. A 1-D vector is one row: a
+    feasible one is returned as the same object, any other result is a
+    new array, and ProjectionError means eta and M leave no room for k
+    units. The input is never written.
     """
-    ok, norms, nrm = _feasibility(vec, k, d, box)
-    if ok:
+    V = vec.reshape(-1, vec.shape[-1])
+    done, lower, nrm, norms = _bounds(V, k, d, box)
+    if vec.ndim == 1 and done[0]:
         return vec
-    if nrm is not None:
-        base = vec  # the lower-bound pass would leave it as it is
-    else:
-        base = vec.copy()
-        norms = _push_out(base, k, d, box, norms)
-        nrm = _norm(base)
-        if nrm <= box.M and _lower_ok(base[1 : 1 + k], norms, box):
-            return base
-    # base is vec after one lower-bound pass and nrm its norm; both stages
-    # below scale it to a norm target and re-apply the lower bounds
-    if nrm > box.M:
-        out = base * (box.M / nrm)
-        if _settle(out, k, d, box):
-            return out
+    base = V.copy()
+    if np.logical_and.reduce(done):
+        return base
+    if not np.logical_and.reduce(lower):
+        # the lower-bound pass leaves the rows that meet the bounds as they were
+        done, _, nrm, _ = _bounds(base, k, d, box, _push_out(base, k, d, box, norms))
+    # each row not done is its input after one lower-bound pass, and nrm
+    # its norm; both stages below scale it to a norm target and re-apply
+    # the lower bounds
+    take = ~done & (nrm > box.M)
+    if np.logical_or.reduce(take):
+        _rescale(base, box.M / nrm, take, done, k, d, box)
     # the re-applied lower bounds overshot M; each push-out adds at most
     # eta^2 to the squared norm, so a norm target of sqrt(M^2 - 2k eta^2)
     # leaves room for all of them
     slack2 = box.M**2 - 2 * k * box.eta**2
-    if slack2 > 0:
-        out = base * (math.sqrt(slack2) / nrm)
-        if _settle(out, k, d, box):
-            return out
-    raise ProjectionError(
-        f"projection failed: eta={box.eta} and M={box.M} are mutually "
-        f"inconsistent for k={k}, d={d}"
-    )
+    if slack2 > 0 and not np.logical_and.reduce(done):
+        _rescale(base, math.sqrt(slack2) / nrm, ~done, done, k, d, box)
+    if vec.ndim == 1:
+        if not done[0]:
+            raise _projection_error(k, d, box)
+        return base[0]
+    if not np.logical_and.reduce(done):
+        base[~done] = np.nan
+    return base
 
 
 # ---------------------------------------------------------------------------

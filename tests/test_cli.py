@@ -76,6 +76,28 @@ class TestGenFitLr:
                     "--fit-config", workdir / "bad_fit.json", "--out-dir", workdir])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iters": -3},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("inf")},
+            {"step_tol": float("nan")},
+            {"step_tol": 0.0},
+            {"init_scale": float("nan")},
+            {"init_scale": float("-inf")},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_out_of_range_fit_config_is_config_error(self, workdir, bad):
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        # json writes NaN and Infinity as the literals json.load reads back
+        (workdir / "bad_fit.json").write_text(json.dumps({"n_starts": 1, **bad}))
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--fit-config", workdir / "bad_fit.json", "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
+
     def test_missing_dataset_is_config_error(self, workdir):
         code = run(["fit", "--data", workdir / "missing.csv", "--k", 1, "--box", workdir / "box.json",
                     "--out-dir", workdir])

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 import mlplr.estimation
 from mlplr import (
+    ConstraintBox,
     FitConfig,
+    HiddenUnit,
+    MlpParams,
+    RegressionSpec,
     conditional_loglik,
     fit_mle,
     generate_dataset,
     mlp_forward_batch,
     profile_lr_curve,
 )
-from mlplr.estimation import loglik_constant, negloss_and_grad
-from mlplr.model import augment, feasible_vector
+from mlplr.estimation import _optimize_single, loglik_constant, negloss_and_grad
+from mlplr.model import _sigmoid, augment, feasible_vector, project_vector
 
 
 class TestObjectiveGradient:
@@ -32,6 +38,33 @@ class TestObjectiveGradient:
                     - negloss_and_grad(dn, Xa, data.y, data.sigma2, k, 1)[0]
                 ) / (2 * h)
                 assert abs(fd - grad[i]) <= 1e-4 * max(1.0, abs(grad[i]))
+
+
+class TestFitConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_starts", 0),
+            ("max_iters", -3),
+            ("grad_tol", 0.0),
+            ("grad_tol", float("nan")),
+            ("grad_tol", float("inf")),
+            ("step_tol", -1e-12),
+            ("step_tol", float("nan")),
+            ("init_scale", float("nan")),
+            ("init_scale", float("inf")),
+        ],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            FitConfig(**{field: value})
+        with pytest.raises(ValueError):
+            FitConfig.from_dict({field: value})
+
+    def test_accepts_zero_iterations(self, desk_spec, desk_box):
+        data = generate_dataset(desk_spec, 30, seed=1)
+        fit = fit_mle(data, 1, desk_box, FitConfig(n_starts=2, max_iters=0))
+        assert fit.per_start_iters == [0, 0]
 
 
 class TestFitMle:
@@ -152,17 +185,23 @@ class TestFitBitIdentity:
             1425,
         ),
     }
+    GRADIENTS = {3: 510, 5: 690}
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_over_sized_fit_matches_recorded_bits(self, desk_spec, desk_box, monkeypatch, seed):
-        calls = []
-        objective = mlplr.estimation.negloss_and_grad
+        losses, grads = [], []
+        loss, grad = mlplr.estimation.negloss, mlplr.estimation.negloss_grad
 
-        def counted(*args):
-            calls.append(args)
-            return objective(*args)
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
 
-        monkeypatch.setattr(mlplr.estimation, "negloss_and_grad", counted)
+        def counted_grad(*args):
+            grads.append(args)
+            return grad(*args)
+
+        monkeypatch.setattr(mlplr.estimation, "negloss", counted_loss)
+        monkeypatch.setattr(mlplr.estimation, "negloss_grad", counted_grad)
         data = generate_dataset(desk_spec, 200, seed=seed)
         fit = fit_mle(data, 3, desk_box, FitConfig(n_starts=3, seed=0, max_iters=300, grad_tol=1e-5))
         loglik, per_start, iters, theta, evals = self.EXPECTED[seed]
@@ -172,7 +211,9 @@ class TestFitBitIdentity:
         assert [v.hex() for v in fit.theta_hat.flatten()] == theta
         # one evaluation per start plus those at descent trial points (3760
         # and 3223 when every trial point was evaluated)
-        assert len(calls) == evals
+        assert len(losses) == evals
+        # one gradient per start plus one per accepted step
+        assert len(grads) == self.GRADIENTS[seed] == 3 + sum(iters)
 
 
 class TestProfileCurve:
@@ -206,3 +247,150 @@ class TestProfileCurve:
         data = generate_dataset(desk_spec, 30, seed=1)
         with pytest.raises(ValueError):
             profile_lr_curve(data, 0, desk_box, FitConfig(n_starts=1))
+
+
+# Frozen copy of the optimizer, and of the objective it called, as they were
+# before the fit took the gradient only at accepted points and projected
+# each search's trial steps in one call. It projects one vector per call
+# with project_vector, whose 1-D path TestProjectionMatchesFrozenCopy
+# (test_model.py) holds to its own frozen copy; _optimize_single must
+# return the same bits.
+def _frozen_negloss_and_grad(vec, Xa, y, sigma2, k, d):
+    beta = vec[0]
+    a = vec[1 : 1 + k]
+    W = vec[1 + k :].reshape(k, d + 1)
+    P = _sigmoid(Xa @ W.T)
+    r = y - (beta + P @ a)
+    f = 0.5 * float(r @ r) / sigma2
+    grad = np.empty_like(vec)
+    grad[0] = -r.sum() / sigma2
+    grad[1 : 1 + k] = -(P.T @ r) / sigma2
+    DP = P * (1.0 - P)
+    grad[1 + k :] = (-(a[:, None] * ((DP * r[:, None]).T @ Xa)) / sigma2).ravel()
+    return f, grad
+
+
+def _frozen_norm(v):
+    return math.sqrt(v.dot(v))
+
+
+def _frozen_optimize_single(vec0, Xa, y, sigma2, k, d, box, config):
+    vec = project_vector(np.asarray(vec0, dtype=float), k, d, box)
+    f, g = _frozen_negloss_and_grad(vec, Xa, y, sigma2, k, d)
+    trace = [f]
+    S, Y, rho = [], [], []
+    for it in range(config.max_iters):
+        pg = vec - project_vector(vec - g, k, d, box)
+        if np.abs(pg).max() <= config.grad_tol:
+            return vec, f, True, it, trace
+        q = g.copy()
+        alphas = []
+        for s_, y_, r_ in zip(reversed(S), reversed(Y), reversed(rho)):
+            a_ = r_ * (s_ @ q)
+            alphas.append(a_)
+            q -= a_ * y_
+        if Y:
+            q *= (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+        for (s_, y_, r_), a_ in zip(zip(S, Y, rho), reversed(alphas)):
+            q += (a_ - r_ * (y_ @ q)) * s_
+        direction = -q
+        accepted = False
+        step = 1.0
+        for _ in range(40):
+            cand = project_vector(vec + step * direction, k, d, box)
+            slope = g @ (cand - vec)
+            if slope < 0:
+                fc, gc = _frozen_negloss_and_grad(cand, Xa, y, sigma2, k, d)
+                if fc <= f + 1e-4 * slope:
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            step = 1.0
+            direction = -g
+            for _ in range(60):
+                cand = project_vector(vec + step * direction, k, d, box)
+                fc, gc = _frozen_negloss_and_grad(cand, Xa, y, sigma2, k, d)
+                if fc < f:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                return vec, f, False, it, trace
+        s_vec = cand - vec
+        y_vec = gc - g
+        sy = float(s_vec @ y_vec)
+        s_norm = _frozen_norm(s_vec)
+        if sy > 1e-10 * s_norm * _frozen_norm(y_vec):
+            S.append(s_vec)
+            Y.append(y_vec)
+            rho.append(1.0 / sy)
+            if len(S) > 10:
+                S.pop(0)
+                Y.pop(0)
+                rho.pop(0)
+        small_step = s_norm <= config.step_tol
+        vec, f, g = cand, fc, gc
+        trace.append(f)
+        if small_step:
+            pg = vec - project_vector(vec - g, k, d, box)
+            return vec, f, bool(np.abs(pg).max() <= config.grad_tol), it + 1, trace
+    pg = vec - project_vector(vec - g, k, d, box)
+    return vec, f, bool(np.abs(pg).max() <= config.grad_tol), config.max_iters, trace
+
+
+_TRUE_UNIT = {1: np.array([0.5, 1.0]), 2: np.array([0.5, 1.0, -0.5])}
+
+
+class TestOptimizerMatchesFrozenCopy:
+    # each config's exit, checked on the iteration count it returns
+    CONFIGS = {
+        "search": (FitConfig(n_starts=1, max_iters=100, grad_tol=1e-5), None),
+        "stops_at_iteration_0": (FitConfig(n_starts=1, grad_tol=1e6), 0),
+        "small_step": (FitConfig(n_starts=1, step_tol=1e3), 1),
+        "max_iters": (FitConfig(n_starts=1, max_iters=4), 4),
+    }
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_bits(self, k, d, positive, monkeypatch):
+        stacks = []
+        project = mlplr.estimation.project_vector
+
+        def recorded(vec, *args):
+            stacks.append(len(vec) if vec.ndim == 2 else 1)
+            return project(vec, *args)
+
+        monkeypatch.setattr(mlplr.estimation, "project_vector", recorded)
+        box = ConstraintBox(0.1, 50.0, positive_amplitudes=positive)
+        spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, _TRUE_UNIT[d])]), 1.0, d)
+        data = generate_dataset(spec, 100, seed=10 * k + d)
+        Xa = augment(data.x)
+        rng = np.random.default_rng([k, d, int(positive)])
+        for _ in range(4):
+            # wide random starts, often infeasible, run deep searches
+            vec0 = rng.normal(scale=3.0, size=k * (d + 2) + 1)
+            for config, iters in self.CONFIGS.values():
+                args = (vec0, Xa, data.y, data.sigma2, k, d, box, config)
+                vec, f, conv, it, trace = _optimize_single(*args)
+                ref_vec, ref_f, ref_conv, ref_it, ref_trace = _frozen_optimize_single(*args)
+                assert vec.tobytes() == ref_vec.tobytes()
+                assert f.hex() == ref_f.hex()
+                assert (conv, it) == (ref_conv, ref_it)
+                assert [v.hex() for v in trace] == [v.hex() for v in ref_trace]
+                if iters is not None:
+                    assert it == iters
+        assert 39 in stacks  # the first step failed: the other 39 in one call
+        if k > 1:
+            # every over-sized case reaches the steepest-descent fallback
+            # (one unit can converge before a search fails)
+            assert 60 in stacks
+
+    def test_step_stacks_equal_repeated_halving(self):
+        steps, step = [], 1.0
+        for _ in range(60):
+            steps.append(step)
+            step *= 0.5
+        assert mlplr.estimation._SD_STEPS.ravel().tolist() == steps
+        assert mlplr.estimation._QN_STEPS.ravel().tolist() == steps[1:40]

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,40 @@ class TestRunReplicates:
         assert sel[1] == "replicate,n,k_hat,T_1,T_2"
         assert len(sel) == 2 + 3
 
+    def test_pool_submits_largest_n_first(self, desk_spec, desk_box, monkeypatch, tmp_path):
+        """The pool gets the (replicate, n) tasks largest n first and the
+        matrix keeps the serial order; a stand-in executor runs the tasks
+        in this process and records the order it was given them."""
+        import concurrent.futures
+
+        submitted = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                submitted.append(args[1:])
+                future = concurrent.futures.Future()
+                future.set_result(fn(args))
+                return future
+
+        config = self._config(desk_spec, desk_box, n_grid=[40, 120, 80], replicates=2,
+                              fit=FitConfig(n_starts=1, seed=0, max_iters=20))
+        serial = run_replicates(config)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        pooled = run_replicates(config, threads=2)
+        assert submitted == [(0, 1), (1, 1), (0, 2), (1, 2), (0, 0), (1, 0)]
+        serial.to_csv(tmp_path / "serial.csv")
+        pooled.to_csv(tmp_path / "pooled.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
     def test_cell_selects_like_select_architecture(self, desk_spec, desk_box):
         """A replicate cell applies the selection rule that
         select_architecture applies, to the same dataset and fit seed."""
@@ -174,6 +209,33 @@ class TestRunReplicates:
         """The process pool's module is imported by the threads > 1 branch
         alone, so serial runs never load it."""
         assert "concurrent.futures" not in modules_after_import
+
+
+class TestRecordedRun:
+    """A whole replicate run, warm-started profiles included, keeps its
+    bits: the sha256 over every cell was recorded before the fit took its
+    gradient only at accepted points and projected each line search's
+    trial steps in one call. Recorded with NumPy 2.4 and its bundled
+    OpenBLAS on x86-64; another BLAS build may round the matrix products
+    differently.
+    """
+
+    SHA256 = "ede3f39e403b809e734091aa624ef1f6e7b81c33d35c0555969fdd74ad428c01"
+
+    def test_cells_match_recorded_hash(self, desk_spec, desk_box):
+        config = ExperimentConfig(
+            spec=desk_spec, box=desk_box,
+            fit=FitConfig(n_starts=4, seed=0, max_iters=300, grad_tol=1e-5),
+            schedule=PenaltySchedule("bic_like", input_dim=1),
+            n_grid=[200, 400], k_grid=[1, 2, 3], replicates=2, base_seed=7,
+        )
+        digest = hashlib.sha256()
+        for c in run_replicates(config).cells:
+            digest.update(
+                f"{c.replicate},{c.n},{c.k},{c.lr.hex()},{c.sup_loglik.hex()},{c.penalty.hex()},"
+                f"{c.t_n.hex()},{int(c.converged)},{c.k_hat},{c.error}\n".encode()
+            )
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestExpansionDecay:

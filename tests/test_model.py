@@ -325,6 +325,43 @@ class TestProjectionMatchesFrozenCopy:
             project_vector(vec, 2, 1, box)
 
 
+class TestStackedProjection:
+    """An (R, p) stack is projected row by row with the frozen copy's bits,
+    and a row that cannot be projected is marked NaN instead of failing
+    the call, since the line search may never read it."""
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("branch", _BRANCHES)
+    def test_stack_matches_row_by_row(self, branch, d, positive):
+        box = ConstraintBox(0.1, 10.0, positive_amplitudes=positive)
+        rng = np.random.default_rng([d, int(positive), _BRANCHES.index(branch)])
+        for k in (1, 2, 3):
+            stack = np.array([_branch_case(branch, k, d, box, rng) for _ in range(13)])
+            before = stack.copy()
+            out = project_vector(stack, k, d, box)
+            assert stack.tobytes() == before.tobytes()
+            assert out is not stack and out.shape == stack.shape
+            for row, vec in zip(out, stack):
+                assert row.tobytes() == _frozen_project(vec.copy(), k, d, box).tobytes()
+
+    def test_stack_rows_that_fail_do_not_raise(self, desk_box):
+        rng = np.random.default_rng(3)
+        good = [_branch_case(b, 2, 1, desk_box, rng) for b in _BRANCHES]
+        stack = np.array(good[:3] + [np.full(7, np.nan)] + good[3:])
+        out = project_vector(stack, 2, 1, desk_box)
+        assert np.isnan(out[3]).all()
+        for row, vec in zip(np.delete(out, 3, axis=0), good):
+            assert row.tobytes() == _frozen_project(vec.copy(), 2, 1, desk_box).tobytes()
+        with pytest.raises(ProjectionError):
+            project_vector(stack[3], 2, 1, desk_box)
+
+    def test_infeasible_box_marks_every_row(self):
+        box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
+        vec = np.zeros(7)
+        assert np.isnan(project_vector(np.stack([vec, vec + 1.0]), 2, 1, box)).all()
+
+
 class TestDataset:
     def test_noiseless_limit(self):
         theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])
