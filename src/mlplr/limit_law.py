@@ -12,6 +12,7 @@ by partitions of the fitted units onto the true ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -197,7 +198,13 @@ def extended_grid(box: ConstraintBox, d: int, n_angles: int = 8, radii: tuple[fl
 
 @dataclass
 class GramMatrix:
-    """L2 Gram of the limit scores: sigma = P(V V^T) = x_gram / sigma2."""
+    """L2 Gram of the limit scores: sigma = P(V V^T) = x_gram / sigma2.
+
+    simulate_limit keeps what its calls on one Gram share in ``_memo``,
+    which lives and dies with the object (see simulate_limit). It reads
+    sigma and basis once, so they must not change afterwards;
+    dataclasses.replace(gram) gives a copy whose memo starts empty.
+    """
 
     sigma: np.ndarray
     x_gram: np.ndarray
@@ -205,6 +212,7 @@ class GramMatrix:
     seed: int
     basis: ScoreBasis
     method: str = "mc"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _finalize_gram(x_gram: np.ndarray, spec: RegressionSpec, draws: int, seed: int, basis: ScoreBasis, method: str) -> GramMatrix:
@@ -240,6 +248,17 @@ def gram_matrix(
     return _finalize_gram(acc / mc_draws, spec, mc_draws, seed, basis, "mc")
 
 
+@functools.lru_cache(maxsize=4)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights; hermgauss(129) is about
+    half the cost of a desk Gram."""
+    with np.errstate(all="ignore"):
+        rule = np.polynomial.hermite.hermgauss(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def gram_matrix_gh(spec: RegressionSpec, nodes: int = 129, basis: ScoreBasis | None = None) -> GramMatrix:
     """Gauss-Hermite quadrature Gram, exact cross-check for d = 1 with
     standard normal inputs. Node counts whose nodes or weights are not
@@ -248,8 +267,7 @@ def gram_matrix_gh(spec: RegressionSpec, nodes: int = 129, basis: ScoreBasis | N
         raise ValueError("Gauss-Hermite mode needs d = 1 and standard normal inputs")
     if basis is None:
         basis = ScoreBasis(spec.k0, spec.input_dim)
-    with np.errstate(all="ignore"):
-        pts, wts = np.polynomial.hermite.hermgauss(nodes)
+    pts, wts = _hermgauss(nodes)
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
         raise ValueError(f"Gauss-Hermite rule with nodes={nodes} has non-finite nodes or weights")
     X = (np.sqrt(2.0) * pts)[:, None]
@@ -304,21 +322,6 @@ def save_gram(gram: GramMatrix, prefix: str, spec: RegressionSpec) -> None:
     }
     with open(f"{prefix}.json", "w") as fh:
         json.dump(meta, fh, indent=2)
-
-
-def load_gram(prefix: str) -> GramMatrix:
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    rows = []
-    with open(f"{prefix}.mat") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.split()])
-    x_gram = np.array(rows)
-    basis = ScoreBasis(meta["k0"], meta["d"], tuple(tuple(w) for w in meta["extra_w"]))
-    if x_gram.shape != (basis.dim, basis.dim):
-        raise ValueError(f"matrix shape {x_gram.shape} does not match basis dim {basis.dim}")
-    return GramMatrix(x_gram / meta["sigma2"], x_gram, meta["mc_draws"], meta["seed"], basis, meta["method"])
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +604,13 @@ def _exact_partition_d1(
     sign: float,
     budget: int,
     extras: np.ndarray | None = None,
+    gains: dict | None = None,
 ) -> np.ndarray:
     """Exact supremum over one true unit's quadratic cone at d = 1, plus
-    the span of per-draw extra phi columns (N, m, p) if given.
+    the span of per-draw extra phi columns (N, m, p) if given. Without
+    extras, the rank-one gain is read from or stored in ``gains`` (keyed
+    (unit, sign)) if given, so the rank-one and PSD cones of one unit
+    compute it once.
 
     With Q the unit's three phi'' components, T_QQ and h_Q are the
     residual Gram and the residual draws of the shared linear-block
@@ -633,7 +640,12 @@ def _exact_partition_d1(
         v_lin = v_lin + np.einsum("nr,nr->n", y, sol[:, :, 0])
         h_q = h_q - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
         T = T - np.einsum("nri,nrj->nij", T_eq, sol[:, :, 1:])
-    gain = _rank1_gain_d1(h_q, T, sign)
+    if extras is None and gains is not None:
+        if (unit, sign) not in gains:
+            gains[unit, sign] = _rank1_gain_d1(h_q, T, sign)
+        gain = gains[unit, sign]
+    else:
+        gain = _rank1_gain_d1(h_q, T, sign)
     if budget == 2:
         q = np.linalg.solve(T, h_q.T).T if T.ndim == 2 else np.linalg.solve(T, h_q[..., None])[..., 0]
         A = sign * q  # (A00, 2 A01, A11) of the unconstrained optimum
@@ -848,6 +860,39 @@ def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
     return (factor[None] @ z[..., None])[..., 0]
 
 
+class _SharedDraws:
+    """What simulate_limit's calls on one Gram share for one (seed,
+    n_draws, amplitude signs): the linear-block value v_lin and residual h
+    of the draws, each partition's per-draw value row and solver keyed
+    (t, n_free), and the rank-one gains without extra columns keyed
+    (unit, sign). v_lin, h and the rows are read-only."""
+
+    def __init__(self, key: tuple, mx: _ConeMaximizer, g: np.ndarray):
+        self.key = key
+        self.v_lin = mx.linear_values(g)
+        self.h = mx.residual(g)
+        self.v_lin.flags.writeable = self.h.flags.writeable = False
+        self.rows: dict[tuple, tuple[np.ndarray, str]] = {}
+        self.gains: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _partition_row(
+    mx: _ConeMaximizer, shared: _SharedDraws, cone: ConeSpec, n_free: int, seed: int
+) -> tuple[np.ndarray, str]:
+    """Per-draw value of one partition's cone, plus up to n_free greedy
+    extra phi columns, and the solver that gave it."""
+    h, v_lin = shared.h, shared.v_lin
+    quad_units = cone.quad_units()
+    fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
+    if not quad_units:
+        return (v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)), "linear"
+    if mx.basis.d == 1 and len(set(quad_units)) == 1:
+        unit, sign = quad_units[0]
+        row = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed, shared.gains)
+        return row, "exact_rank1" if len(quad_units) == 1 else "exact_psd"
+    return _optimize_partition_general(mx, h, v_lin, quad_units, (seed, cone.partition.t), fixed), "search"
+
+
 def simulate_limit(
     spec: RegressionSpec,
     k: int,
@@ -879,6 +924,19 @@ def simulate_limit(
     SeedSequence words of all n_draws streams are computed in one
     vectorized pass and each seeds its own PCG64 (_gaussian_draws); seed
     must be a non-negative integer and n_draws below 2**32.
+
+    Calls on one Gram share work through its memo, and return exactly
+    what each would return on a fresh copy. A partition's cone depends on
+    its group sizes, not on k, and a draw's row on neither k nor n_draws,
+    so widths drawn from one seed share draws and cones. The memo holds,
+    for as long as the Gram lives: the core certificate and the
+    _ConeMaximizer, which depend on the Gram alone; the draws of the
+    latest seed, at the largest n_draws asked for, which serve a smaller
+    n_draws as a prefix; and, for the latest (seed, n_draws, amplitude
+    signs) only, the _SharedDraws. A new seed frees the old seed's
+    arrays. Values computed from the draws are not shared across n_draws,
+    because the bits of a batched BLAS product depend on the batch. The
+    returned arrays are fresh.
     """
     k0, d = spec.k0, spec.input_dim
     if k < k0:
@@ -887,50 +945,51 @@ def simulate_limit(
         raise ValueError("gram matrix was built for a different spec")
     if extended and not gram.basis.extra_w:
         raise ValueError("extended mode needs a gram with extra phi columns")
-    # the certificate concerns the theorem's basis; extra grid columns are
-    # auxiliary and may be arbitrarily correlated with each other
-    core = gram.basis.core_dim
-    core_gram = GramMatrix(
-        gram.sigma[:core, :core], gram.x_gram[:core, :core],
-        gram.mc_draws, gram.seed, ScoreBasis(k0, d), gram.method,
-    )
-    rep = check_h4(core_gram)
+    memo = gram._memo
+    if "h4" not in memo:
+        # the certificate concerns the theorem's basis; extra grid columns
+        # are auxiliary and may be arbitrarily correlated with each other
+        core = gram.basis.core_dim
+        memo["h4"] = check_h4(GramMatrix(
+            gram.sigma[:core, :core], gram.x_gram[:core, :core],
+            gram.mc_draws, gram.seed, ScoreBasis(k0, d), gram.method,
+        ))
+    rep = memo["h4"]
     if not rep.passed:
         raise ValueError(
             f"gram fails the linear-independence certificate "
             f"(min scaled eigenvalue {rep.min_eigenvalue:.3e} < {rep.tol:.1e})"
         )
-    g = _gaussian_draws(gram.sigma, n_draws, seed)
+    drawn = memo.get("draws")
+    if drawn is None or drawn[0] != seed or len(drawn[1]) < n_draws:
+        memo.pop("draws", None)
+        memo.pop("shared", None)
+        drawn = memo["draws"] = (seed, _gaussian_draws(gram.sigma, n_draws, seed))
     # allocated before the cone solvers' temporaries, so a caller that
     # keeps many samples does not strand each one above their freed heap
     values = np.empty(n_draws)
 
-    mx = _ConeMaximizer(gram)
-    v_lin = mx.linear_values(g)
-    h = mx.residual(g)
+    if "mx" not in memo:
+        memo["mx"] = _ConeMaximizer(gram)
+    mx = memo["mx"]
     signs = np.sign([u.a for u in spec.theta0.units])
+    key = (seed, n_draws, tuple(signs))
+    shared = memo.get("shared")
+    if shared is None or shared.key != key:
+        memo.pop("shared", None)
+        shared = memo["shared"] = _SharedDraws(key, mx, drawn[1][:n_draws])
 
     partitions = enumerate_partitions(k, k0)
     per_part = np.empty((len(partitions), n_draws))
     paths = []
     for pi, part in enumerate(partitions):
-        cone = ConeSpec(part, gram.basis, signs)
-        quad_units = cone.quad_units()
-        fixed = None
-        if extended:
-            n_free = k - part.total_units
-            if n_free > 0:
-                fixed = _greedy_extra_columns(mx, h, n_free)
-        if not quad_units:
-            paths.append("linear")
-            per_part[pi] = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
-        elif d == 1 and len(set(quad_units)) == 1:
-            unit, sign = quad_units[0]
-            paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
-            per_part[pi] = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed)
-        else:
-            paths.append("search")
-            per_part[pi] = _optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed)
+        n_free = k - part.total_units if extended else 0
+        if (part.t, n_free) not in shared.rows:
+            row, path = _partition_row(mx, shared, ConeSpec(part, gram.basis, signs), n_free, seed)
+            row.flags.writeable = False
+            shared.rows[part.t, n_free] = row, path
+        per_part[pi], path = shared.rows[part.t, n_free]
+        paths.append(path)
     best_idx = np.argmax(per_part, axis=0)
     values[:] = per_part[best_idx, np.arange(n_draws)]
     return LimitSample(

@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import itertools
+import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +37,6 @@ from mlplr.limit_law import (
     _StreamSeed,
     eval_score_basis_batch,
     extended_grid,
-    load_gram,
     save_gram,
 )
 
@@ -277,10 +280,10 @@ class TestGramMatrix:
     def test_save_load_round_trip(self, desk_spec, tmp_path):
         gram = gram_matrix_gh(desk_spec)
         save_gram(gram, str(tmp_path / "gram"), desk_spec)
-        back = load_gram(str(tmp_path / "gram"))
-        np.testing.assert_array_equal(back.x_gram, gram.x_gram)
-        np.testing.assert_array_equal(back.sigma, gram.sigma)
-        assert back.method == "gauss_hermite"
+        np.testing.assert_array_equal(np.loadtxt(tmp_path / "gram.mat"), gram.x_gram)
+        meta = json.loads((tmp_path / "gram.json").read_text())
+        assert meta["method"] == "gauss_hermite"
+        assert (meta["sigma2"], meta["k0"], meta["d"], meta["extra_w"]) == (1.0, 1, 1, [])
 
 
 class TestCheckH4:
@@ -475,7 +478,8 @@ class TestSimulateLimit:
     def test_determinism(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
         a = simulate_limit(desk_spec, 2, gram, 100, seed=41)
-        b = simulate_limit(desk_spec, 2, gram, 100, seed=41)
+        # a fresh copy, so the second call is computed, not read from the memo
+        b = simulate_limit(desk_spec, 2, dataclasses.replace(gram), 100, seed=41)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_rejects_k_below_k0(self, desk_spec):
@@ -564,7 +568,7 @@ class TestGaussianDraws:
         assert _gaussian_draws(gram.sigma, n, seed).tobytes() == _desk_draws(gram, n, seed).tobytes()
         got = simulate_limit(spec, k, gram, n, seed, extended=extended).values
         monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n_draws, s: _desk_draws(gram, n_draws, s))
-        ref = simulate_limit(spec, k, gram, n, seed, extended=extended).values
+        ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed, extended=extended).values
         assert got.tobytes() == ref.tobytes()
 
     def test_negative_seed_is_rejected(self, desk_spec):
@@ -593,6 +597,69 @@ class TestGaussianDraws:
         """numpy.random, and the ISeedSequence registration, wait for the
         first draw."""
         assert "numpy.random" not in modules_after_import
+
+
+class TestGramMemo:
+    """simulate_limit shares draws and cone values between calls on one
+    Gram; every call must still return what it returns on a fresh copy."""
+
+    @staticmethod
+    def _bytes(sample):
+        return sample.values.tobytes(), repr(sample.best_partition), sample.path.tobytes()
+
+    def test_calls_on_one_gram_equal_fresh_calls(self, desk_spec, desk_box):
+        neg = RegressionSpec(MlpParams(0.5, [HiddenUnit(-1.0, np.array([0.5, 1.0]))]), 1.0, 1)
+        signed_box = dataclasses.replace(desk_box, positive_amplitudes=False)
+        grid = extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0))
+        core, ext = gram_matrix_gh(desk_spec), gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, grid))
+        neg_core = gram_matrix_gh(neg)
+        neg_ext = gram_matrix_gh(neg, basis=ScoreBasis(1, 1, extended_grid(signed_box, 1, n_angles=4, radii=(2.0,))))
+        calls = [  # (spec, gram, k, n_draws, seed, extended)
+            (desk_spec, core, 1, 4000, 11, False),
+            (desk_spec, core, 2, 1000, 11, False),
+            (desk_spec, core, 3, 1000, 11, False),
+            (desk_spec, core, 3, 500, 11, False),
+            (desk_spec, core, 2, 500, 11, False),
+            (desk_spec, core, 3, 1000, 12, False),
+            (desk_spec, core, 2, 1000, 11, False),
+            (desk_spec, ext, 2, 1000, 11, True),
+            (desk_spec, ext, 2, 1000, 11, False),
+            (desk_spec, ext, 3, 1000, 11, True),
+            (neg, core, 3, 1000, 11, False),
+            (neg, neg_core, 3, 700, 11, False),
+            (neg, neg_core, 2, 700, 11, False),
+            (neg, neg_ext, 3, 700, 11, True),
+            (neg, neg_ext, 2, 700, 11, False),
+        ]
+        for spec, gram, k, n, seed, extended in calls:
+            got = simulate_limit(spec, k, gram, n, seed, extended=extended)
+            ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed, extended=extended)
+            assert self._bytes(got) == self._bytes(ref), (spec.theta0.units[0].a, k, n, seed, extended)
+            got.values[:] = -1.0  # the memo hands out copies
+            got.path[:] = "linear"
+
+    def test_draws_are_made_once_per_gram_and_seed(self, desk_spec, desk_box, monkeypatch):
+        """The desk round's sequence draws for k1 and k2ext only, and a new
+        seed frees the old seed's arrays."""
+        made = []
+
+        def spy(sigma, n_draws, seed):
+            made.append((sigma.shape[0], n_draws, seed))
+            return _gaussian_draws(sigma, n_draws, seed)
+
+        monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", spy)
+        grid = extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0))
+        core, ext = gram_matrix_gh(desk_spec), gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, grid))
+        for k, n in [(1, 4000), (2, 1000), (3, 1000)]:
+            simulate_limit(desk_spec, k, core, n, 5)
+        simulate_limit(desk_spec, 2, ext, 1000, 5, extended=True)
+        assert made == [(core.basis.dim, 4000, 5), (ext.basis.dim, 1000, 5)]
+        old = [weakref.ref(core._memo["draws"][1]), weakref.ref(core._memo["shared"].h)]
+        simulate_limit(desk_spec, 2, core, 1000, 6)
+        gc.collect()
+        assert made[2:] == [(core.basis.dim, 1000, 6)]
+        assert [ref() for ref in old] == [None, None]
+        assert core._memo["draws"][0] == 6 and core._memo["shared"].key[0] == 6
 
 
 class TestExactConeD1:
