@@ -161,32 +161,6 @@ def base_reparameterization(
     return Reparameterization(partition, phi, psi)
 
 
-def reparameterize(partition: Partition, theta: MlpParams, spec: RegressionSpec) -> Reparameterization:
-    """Map an over-sized parameter vector onto (Phi_t, psi_t).
-
-    Only the first t_k0 units are grouped; s_i is the group amplitude sum
-    minus the true amplitude and q_j = a_j / group sum, with q_j = 0 when
-    the group sum vanishes.
-    """
-    if partition.total_units > theta.k:
-        raise ValueError(f"partition assigns {partition.total_units} units, theta has {theta.k}")
-    T = partition.total_units
-    d1 = spec.input_dim + 1
-    phi = np.empty(1 + T * d1 + partition.k0)
-    psi = np.zeros(T)
-    phi[0] = theta.beta
-    for j in range(1, T + 1):
-        phi[1 + (j - 1) * d1 : 1 + j * d1] = theta.units[j - 1].w
-    for i in range(1, partition.k0 + 1):
-        grp = list(partition.group(i))
-        total = sum(theta.units[j - 1].a for j in grp)
-        phi[1 + T * d1 + i - 1] = total - spec.theta0.units[i - 1].a
-        if total != 0.0:
-            for j in grp:
-                psi[j - 1] = theta.units[j - 1].a / total
-    return Reparameterization(partition, phi, psi)
-
-
 # ---------------------------------------------------------------------------
 # Density ratio and its expansion at the base point
 # ---------------------------------------------------------------------------

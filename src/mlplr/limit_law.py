@@ -809,43 +809,200 @@ def _stream_words(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _StreamSeed:
-    """numpy's ISeedSequence holding one row of _stream_words: PCG64 seeded
-    with it starts the stream of SeedSequence([seed, i]). Registered as an
-    ISeedSequence on first use, so importing mlplr leaves numpy.random
-    unloaded."""
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with this
+# multiplier, stepped before each output, and the XSL-RR output
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+_U64 = np.uint64
+_M_HI, _M_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_M_LO0, _M_LO1 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64(_PCG_MULT >> 32 & 0xFFFFFFFF)
+_LOW32, _LOW52 = _U64(0xFFFFFFFF), _U64(2**52 - 1)
+# raw outputs beyond p in the buffer of a row that takes a slow variate
+_ZIG_EXTRA = 4
+# wedge comparisons closer than this (relative) are left to numpy: the
+# recovered fi and np.exp may each be a few ulps off numpy's own
+_ZIG_GUARD = 1e-12
+# rows generated at once, which bounds the (rows, p) uint64 temporaries
+_DRAW_BLOCK = 2048
 
-    __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG_MULT + inc mod 2**128 on (hi, lo) uint64 words; the
+    high word of lo * _M_LO comes from its 32-bit halves."""
+    lo0, lo1 = lo & _LOW32, lo >> _U64(32)
+    mid = lo1 * _M_LO0 + (lo0 * _M_LO0 >> _U64(32))
+    mid2 = lo0 * _M_LO1 + (mid & _LOW32)
+    hi = lo1 * _M_LO1 + (mid >> _U64(32)) + (mid2 >> _U64(32)) + hi * _M_LO + lo * _M_HI + inc_hi
+    lo = lo * _M_LO + inc_lo
+    return hi + (lo < inc_lo), lo
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise RuntimeError(f"PCG64 asked for {n_words} words of {np.dtype(dtype)}, the stream holds 4 of uint64")
-        return self.words
+
+def _pcg_outputs(state, inc, out):
+    """Writes the next outputs of every row's PCG64 to the columns of out
+    and returns the state after them."""
+    for j in range(out.shape[1]):
+        state = _pcg_step(*state, *inc)
+        hi, lo = state
+        xored, rot = hi ^ lo, hi >> _U64(58)
+        out[:, j] = xored >> rot | xored << ((_U64(64) - rot) & _U64(63))
+    return state
+
+
+def _draw_from_outputs(gen, first: int, second: int = 0) -> tuple[float, int]:
+    """gen.standard_normal() when its PCG64's next raw outputs are first,
+    second, ...; and how many outputs it used (3 meaning three or more).
+
+    An XSL-RR output whose state has a high word below 2**58 is that
+    state's words xor-ed, so each of the two states is chosen with its
+    output and the increment odd, and the start state is stepped back."""
+    s1 = first
+    high = (1 ^ first ^ second) & 1
+    s2 = high << 64 | (second ^ high)
+    inc = (s2 - s1 * _PCG_MULT) % 2**128
+    s0 = (s1 - inc) * _PCG_MULT_INV % 2**128
+    bits = gen.bit_generator
+    bits.state = {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    value = gen.standard_normal()
+    state = bits.state["state"]["state"]
+    return value, 1 if state == s1 else 2 if state == s2 else 3
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables (ki, wi, fi) for random_standard_normal,
+    recovered once from its generator; numpy ships them only compiled.
+
+    From a raw output r, layer idx = r & 0xff and rabs = r >> 9 (52 bits)
+    give x = rabs * wi[idx], returned at once iff rabs < ki[idx]. So wi is
+    the value drawn at rabs = 1, and ki the least rabs that uses a second
+    output, found near 2**52 wi[idx-1] / wi[idx] (the layers' width
+    ratio) or else by bisection. fi is the density at the layers' edges.
+    """
+    from numpy.random import PCG64, Generator
+
+    gen = Generator(PCG64(0))
+
+    def slow(idx, rabs):
+        return _draw_from_outputs(gen, rabs << 9 | idx)[1] > 1
+
+    def first_slow(idx, lo, hi):  # lo fast (or -1), hi slow (or 2**52)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if slow(idx, mid) else (mid, hi)
+        return hi
+
+    wi = np.array([_draw_from_outputs(gen, 1 << 9 | idx)[0] for idx in range(256)])
+    ki = np.empty(256, np.uint64)
+    for idx in range(256):
+        c = int(2**52 * wi[idx - 1] / wi[idx]) if idx >= 2 else 0
+        if slow(idx, c):
+            ok = c == 0 or not slow(idx, c - 1)
+        else:
+            c += 1
+            ok = c < 2**52 and slow(idx, c)
+        ki[idx] = c if ok else first_slow(idx, -1, 2**52)
+    fi = np.exp(-0.5 * (2.0**52 * wi) ** 2)
+    fi[0] = 1.0
+    for table in (ki, wi, fi):
+        table.flags.writeable = False  # shared by every caller
+    return ki, wi, fi
+
+
+def _ziggurat_decode(r, ki, wi):
+    """Per raw output: the candidate x, whether it is taken at once, and its
+    layer. ki and wi are indexed by idx | sign << 8, wi signed."""
+    idx = (r & _U64(0x1FF)).astype(np.uint16)
+    rabs = r >> _U64(9) & _LOW52
+    return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx & np.uint16(0xFF)
+
+
+def _ziggurat_walk(buf, p, ki, wi, fi):
+    """numpy's random_standard_normal over each row's raw outputs: the
+    first p normals (m, p), and the rows it cannot be sure of.
+
+    A slow candidate in layer idx >= 1 reads u from the next output and is
+    taken iff (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2); taken or
+    not, the next candidate starts two outputs on. A row is unsure if a
+    candidate it needs is in the tail layer (idx 0) or has its comparison
+    within _ZIG_GUARD, or if its buffer ends before p are taken (a slow
+    candidate in the last column is never taken).
+    """
+    m, width = buf.shape
+    x, fast, idx = _ziggurat_decode(buf, ki, wi)
+    slow, taken = ~fast, fast
+    unsure = slow & (idx == 0)
+    r, q = np.nonzero(slow[:, :-1] & ~unsure[:, :-1])
+    layer = idx[r, q].astype(np.intp)
+    u = (buf[r, q + 1] >> _U64(11)).astype(np.float64) * 2.0**-53
+    lhs = (fi[layer - 1] - fi[layer]) * u + fi[layer]
+    rhs = np.exp(-0.5 * x[r, q] * x[r, q])
+    unsure[r, q] = np.abs(lhs - rhs) <= _ZIG_GUARD * rhs
+    taken[r, q] = lhs < rhs
+    starts = np.empty((m, width), bool)
+    starts[:, 0] = True
+    for c in range(1, width):
+        np.logical_not(starts[:, c - 1] & slow[:, c - 1], out=starts[:, c])
+    taken &= starts
+    count = np.cumsum(taken, axis=1)
+    before = count - taken
+    bad = (starts & (before < p) & unsure).any(axis=1) | (count[:, -1] < p)
+    z = np.empty((m, p))
+    z[~bad] = x[~bad][(taken & (before < p))[~bad]].reshape(-1, p)
+    return z, bad
+
+
+def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
+    """(n, p) array whose row i is default_rng([seed, i]).standard_normal(p).
+
+    Every row's PCG64 runs at once over uint64 words, seeded from the
+    SeedSequence words of _stream_words as numpy seeds it: inc =
+    (initseq << 1) | 1, then state = ((inc + initstate) * mult + inc).
+    Rows whose first p outputs all take the ziggurat's fast path are
+    decoded directly; the others get _ZIG_EXTRA more outputs and the
+    whole walk (_ziggurat_walk), and a row the walk cannot be sure of is
+    drawn by numpy itself.
+    """
+    ki, wi, fi = _ziggurat_tables()
+    ki, wi = np.concatenate([ki, ki]), np.concatenate([wi, -wi])
+    words = _stream_words(seed, n)
+    z = np.empty((n, p))
+    for start in range(0, n, _DRAW_BLOCK):
+        w = words[start:start + _DRAW_BLOCK]
+        inc = (w[:, 2] << _U64(1) | w[:, 3] >> _U64(63), w[:, 3] << _U64(1) | _U64(1))
+        lo = inc[1] + w[:, 1]
+        state = _pcg_step(inc[0] + w[:, 0] + (lo < inc[1]), lo, *inc)
+        buf = np.empty((len(w), p + _ZIG_EXTRA), np.uint64)
+        state = _pcg_outputs(state, inc, buf[:, :p])
+        block = z[start:start + len(w)]
+        x, fast, _ = _ziggurat_decode(buf[:, :p], ki, wi)
+        block[:] = x
+        rows = np.flatnonzero(~fast.all(axis=1))
+        if rows.size:
+            buf = buf[rows]
+            _pcg_outputs([s[rows] for s in state], [c[rows] for c in inc], buf[:, p:])
+            block[rows], bad = _ziggurat_walk(buf, p, ki, wi, fi)
+            for i in rows[bad]:
+                block[i] = np.random.default_rng([seed, start + i]).standard_normal(p)
+    return z
 
 
 def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
     """(n_draws, p) draws from N(0, sigma): row i is the lower Cholesky
     factor of sigma times default_rng([seed, i]).standard_normal(p).
 
-    The per-draw SeedSequence words come from one vectorized pass
-    (_stream_words), checked at i = 0 against numpy's own SeedSequence,
-    which also rejects a negative seed. The factor maps every draw by its
-    own matrix-vector product, so each row has the bits of factor @ z.
+    The normals of all rows come from one vectorized pass of numpy's
+    PCG64 and ziggurat (_standard_normals); row 0 is checked against
+    numpy's own generator, which also rejects a negative seed. The factor
+    maps every draw by its own matrix-vector product, so each row has the
+    bits of factor @ z.
     """
     if n_draws >= 2**32:
         raise ValueError(f"n_draws must be below 2**32 (one uint32 entropy word), got {n_draws}")
-    from numpy.random import PCG64, Generator, SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StreamSeed)
-    reference = SeedSequence([seed, 0]).generate_state(4, np.uint64)
-    words = _stream_words(seed, n_draws)
-    if n_draws and not np.array_equal(words[0], reference):
-        raise RuntimeError("vectorized SeedSequence words differ from numpy's SeedSequence([seed, 0])")
     p = sigma.shape[0]
+    reference = np.random.default_rng([seed, 0]).standard_normal(p)
+    z = _standard_normals(seed, n_draws, p)
+    if n_draws and z[0].tobytes() != reference.tobytes():
+        raise RuntimeError("vectorized normals differ from numpy's default_rng([seed, 0])")
     # Cholesky keeps the factor nested in the basis prefix, so draws on a
     # common seed stay comparable draw by draw across widths and between
     # the core and extended index sets
@@ -854,9 +1011,6 @@ def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
     except np.linalg.LinAlgError:
         jitter = 1e-12 * float(np.trace(sigma)) / p
         factor = np.linalg.cholesky(sigma + jitter * np.eye(p))
-    z = np.empty((n_draws, p))
-    for i in range(n_draws):
-        Generator(PCG64(_StreamSeed(words[i]))).standard_normal(out=z[i])
     return (factor[None] @ z[..., None])[..., 0]
 
 
@@ -920,10 +1074,11 @@ def simulate_limit(
 
     Deterministic given the seed: draw i is exactly
     default_rng([seed, i]).standard_normal(p) mapped by the lower Cholesky
-    factor of sigma (jittered if sigma is singular to rounding). The
-    SeedSequence words of all n_draws streams are computed in one
-    vectorized pass and each seeds its own PCG64 (_gaussian_draws); seed
-    must be a non-negative integer and n_draws below 2**32.
+    factor of sigma (jittered if sigma is singular to rounding). All
+    n_draws streams run at once, numpy's PCG64 and ziggurat over uint64
+    arrays, and numpy itself draws the few rows that path cannot be sure
+    of (_gaussian_draws); seed must be a non-negative integer and n_draws
+    below 2**32.
 
     Calls on one Gram share work through its memo, and return exactly
     what each would return on a fresh copy. A partition's cone depends on
@@ -992,12 +1147,13 @@ def simulate_limit(
         paths.append(path)
     best_idx = np.argmax(per_part, axis=0)
     values[:] = per_part[best_idx, np.arange(n_draws)]
+    ts = [part.t for part in partitions]
     return LimitSample(
         values=values,
         k=k,
         k0=k0,
         d=d,
-        best_partition=[partitions[i].t for i in best_idx],
+        best_partition=[ts[i] for i in best_idx.tolist()],
         path=np.array(paths)[best_idx],
         extended=extended,
     )

@@ -15,7 +15,6 @@ from mlplr import (
     generate_dataset,
     lr_statistic,
     mlp_forward_batch,
-    reparameterize,
     residual_score,
     taylor_terms,
 )
@@ -112,23 +111,6 @@ class TestLrStatistic:
 
 
 class TestReparameterization:
-    def test_group_conventions(self, desk_spec):
-        part = Partition((0, 2))
-        theta = MlpParams(0.4, [HiddenUnit(0.75, np.array([0.4, 0.9])), HiddenUnit(0.5, np.array([0.6, 1.1]))])
-        rep = reparameterize(part, theta, desk_spec)
-        np.testing.assert_allclose(rep.s(1), 0.75 + 0.5 - 1.0)
-        np.testing.assert_allclose(rep.q(1), 0.75 / 1.25)
-        np.testing.assert_allclose(rep.q(2), 0.5 / 1.25)
-
-    def test_zero_sum_group_convention(self, desk_spec):
-        """q_j = 0 when the group's amplitude sum vanishes (only reachable
-        with signed amplitudes)."""
-        part = Partition((0, 2))
-        theta = MlpParams(0.4, [HiddenUnit(1.0, np.array([0.4, 0.9])), HiddenUnit(-1.0, np.array([0.6, 1.1]))])
-        rep = reparameterize(part, theta, desk_spec)
-        assert rep.q(1) == 0.0 and rep.q(2) == 0.0
-        np.testing.assert_allclose(rep.s(1), -1.0)
-
     def test_base_point_replicates_true_units(self, desk_spec):
         part = Partition((0, 3))
         base = base_reparameterization(part, desk_spec)

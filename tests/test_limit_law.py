@@ -31,10 +31,12 @@ from mlplr.limit_law import (
     _ConeMaximizer,
     _direction_columns,
     _exact_partition_d1,
+    _draw_from_outputs,
     _gaussian_draws,
     _greedy_extra_columns,
+    _standard_normals,
     _stream_words,
-    _StreamSeed,
+    _ziggurat_tables,
     eval_score_basis_batch,
     extended_grid,
     save_gram,
@@ -44,11 +46,15 @@ from mlplr.limit_law import (
 def _desk_draws(gram, n, seed):
     """Frozen copy of the per-draw loop that built simulate_limit's draws
     g, one default_rng([seed, i]) per draw, jittered factor included."""
-    p = gram.basis.dim
+    return _per_draw_loop(gram.sigma, n, seed)
+
+
+def _per_draw_loop(sigma, n, seed):
+    p = sigma.shape[0]
     try:
-        factor = np.linalg.cholesky(gram.sigma)
+        factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        factor = np.linalg.cholesky(gram.sigma + 1e-12 * float(np.trace(gram.sigma)) / p * np.eye(p))
+        factor = np.linalg.cholesky(sigma + 1e-12 * float(np.trace(sigma)) / p * np.eye(p))
     return np.stack([factor @ np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
 
 
@@ -534,8 +540,8 @@ class TestSimulateLimit:
 
 
 class TestGaussianDraws:
-    """simulate_limit seeds every draw's stream in one vectorized pass; its
-    draws must stay those of one default_rng([seed, i]) per draw."""
+    """simulate_limit runs every draw's PCG64 and ziggurat in one vectorized
+    pass; its draws must stay those of one default_rng([seed, i]) per draw."""
 
     # 2**128 + 7 has five words: SeedSequence mixes entropy beyond its
     # four-word pool in a loop of its own
@@ -580,13 +586,79 @@ class TestGaussianDraws:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             simulate_limit(desk_spec, 1, gram_matrix_gh(desk_spec), 2**32, seed=0)
 
-    def test_stream_seed_serves_only_four_uint64_words(self):
-        words = _StreamSeed(_stream_words(5, 1)[0])
-        ref = np.random.SeedSequence([5, 0]).generate_state(4, np.uint64)
-        np.testing.assert_array_equal(words.generate_state(4, np.uint64), ref)
-        for request in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]:
-            with pytest.raises(RuntimeError):
-                words.generate_state(*request)
+    # 90,000 normals per case, 1.08 M over the twelve
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 7])
+    @pytest.mark.parametrize("p", [1, 7, 13, 31])
+    def test_draws_match_per_draw_streams(self, p, seed):
+        a = np.random.default_rng(p).standard_normal((p, p))
+        sigma = a @ a.T + np.eye(p)
+        n = -(-90_000 // p)
+        assert _gaussian_draws(sigma, n, seed).tobytes() == _per_draw_loop(sigma, n, seed).tobytes()
+
+    @staticmethod
+    def _row_paths(raw, p, width, guard):
+        """The ziggurat paths numpy takes over one row's raw outputs, up to
+        the first the vectorized walk leaves to numpy."""
+        ki, wi, fi = _ziggurat_tables()
+        paths, pos, drawn = set(), 0, 0
+        while drawn < p:
+            if pos >= width:
+                return paths | {"overrun"}
+            r = int(raw[pos])
+            idx, rabs = r & 0xFF, r >> 9 & (2**52 - 1)
+            if rabs < ki[idx]:
+                pos, drawn = pos + 1, drawn + 1
+                continue
+            if idx == 0:
+                return paths | {"tail"}
+            if pos + 1 >= width:
+                return paths | {"overrun"}
+            x = rabs * wi[idx]
+            lhs = (fi[idx - 1] - fi[idx]) * ((int(raw[pos + 1]) >> 11) * 2.0**-53) + fi[idx]
+            rhs = np.exp(-0.5 * x * x)
+            if abs(lhs - rhs) <= guard * rhs:
+                return paths | {"guard"}
+            paths.add("accept" if lhs < rhs else "reject")
+            pos, drawn = pos + 2, drawn + (lhs < rhs)
+        return paths
+
+    @pytest.mark.parametrize("extra, guard", [(4, 1e-12), (1, 1e-3)])
+    def test_every_ziggurat_path_occurs_and_matches(self, extra, guard, monkeypatch):
+        """A narrow buffer and a wide guard band send rows to numpy through
+        the overrun and guard fallbacks as well."""
+        monkeypatch.setattr(mlplr.limit_law, "_ZIG_EXTRA", extra)
+        monkeypatch.setattr(mlplr.limit_law, "_ZIG_GUARD", guard)
+        seed, n, p = 9, 20_000, 7
+        streams = [np.random.PCG64(np.random.SeedSequence([seed, i])) for i in range(n)]
+        ref = np.stack([np.random.Generator(bits).standard_normal(p) for bits in streams])
+        assert _standard_normals(seed, n, p).tobytes() == ref.tobytes()
+        raws = [np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(p + extra) for i in range(n)]
+        paths = set().union(*(self._row_paths(raw, p, p + extra, guard) for raw in raws))
+        expected = {"accept", "reject", "tail"} | ({"guard", "overrun"} if extra == 1 else set())
+        assert expected <= paths
+
+    def test_guard_covers_the_recovered_wedge(self):
+        """At chosen (rabs, u) just outside the guard band on either side of
+        the wedge threshold, numpy decides as the recovered tables do: a
+        taken candidate uses two outputs, a refused one more."""
+        ki, wi, fi = _ziggurat_tables()
+        assert (int(ki[0]), int(ki[1]), int(ki[2])) == (0xEF33D8025EF6A, 0, 0xC08BE98FBC6A8)
+        gen = np.random.default_rng(0)
+        guard = mlplr.limit_law._ZIG_GUARD
+        for idx in range(1, 256):
+            for frac in (0.2, 0.5, 0.8):
+                rabs = int(ki[idx]) + int(frac * (2**52 - int(ki[idx])))
+                x = rabs * wi[idx]
+                rhs = np.exp(-0.5 * x * x)
+                for side, used in ((-1, 2), (1, 3)):
+                    u = (rhs * (1 + 2 * side * guard) - fi[idx]) / (fi[idx - 1] - fi[idx])
+                    bits = int(u * 2**53)
+                    lhs = (fi[idx - 1] - fi[idx]) * (bits * 2.0**-53) + fi[idx]
+                    assert side * (lhs - rhs) > guard * rhs
+                    value, got = _draw_from_outputs(gen, rabs << 9 | idx, bits << 11)
+                    assert got == used, (idx, frac, side)
+                    if used == 2:
+                        assert value == x
 
     def test_drifted_words_fail_loudly(self, monkeypatch):
         monkeypatch.setattr(mlplr.limit_law, "_stream_words", lambda seed, n: _stream_words(seed + 1, n))
