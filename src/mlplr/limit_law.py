@@ -546,6 +546,68 @@ class _ConeMaximizer:
 _RANK1_D1 = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]])
 
 
+def _rank1_angles(a: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """Angles (N, 4) of the zeros of each draw's p(phi) = c0 + c1 cos phi +
+    s1 sin phi + c2 cos 2phi + s2 sin 2phi, whose coefficients (c0, c1,
+    s1, c2, s2) are a @ trig, for a (N, 3) and trig (3, 5) or (N, 3, 5).
+    A complex pair of roots gives the angle of its real part.
+
+    Each row is solved in theta = phi - psi, psi the multiple of pi/4
+    whose antipode psi + pi has the largest |p| of the eight. The quartic
+    (1 + t^2)^2 p in t = tan(theta / 2) then has p(psi + pi) as its
+    leading coefficient, so its roots stay bounded and the shift by b/4
+    below does not swamp the small ones. Ferrari's method, vectorized
+    over the rows: the depressed quartic y^4 + P y^2 + Q y + R
+    (t = y - b/4) is (y^2 + P/2 + m)^2 - 2m (y - Q/(4m))^2 at the largest
+    real root m >= 0 of the resolvent cubic m^3 + P m^2 + (P^2/4 - R) m -
+    Q^2/8, taken in trigonometric form when the cubic has three real roots
+    and by Cardano otherwise, then refined by one Newton step; the quartic
+    splits into two quadratics. p = 0 (a = 0) leaves no finite angle, and
+    a non-finite angle becomes pi.
+    """
+    with np.errstate(all="ignore"):
+        coef = a @ trig if trig.ndim == 2 else np.einsum("ni,nij->nj", a, trig)
+        eighth = np.arange(8) * (np.pi / 4)
+        at = np.stack([np.ones(8), np.cos(eighth), np.sin(eighth), np.cos(2 * eighth), np.sin(2 * eighth)])
+        j = np.argmax(np.abs(coef @ at), axis=1)
+        c0, c1, s1, c2, s2 = np.ascontiguousarray(coef.T)
+        # the coefficients of p(theta + psi), psi = (j - 4) pi / 4
+        cos1, sin1, cos2, sin2 = -at[1, j], -at[2, j], at[3, j], at[4, j]
+        c1, s1 = c1 * cos1 + s1 * sin1, s1 * cos1 - c1 * sin1
+        c2, s2 = c2 * cos2 + s2 * sin2, s2 * cos2 - c2 * sin2
+        lead = c0 - c1 + c2
+        b, c, d, e = np.stack([2.0 * s1 - 4.0 * s2, 2.0 * c0 - 6.0 * c2, 2.0 * s1 + 4.0 * s2, c0 + c1 + c2]) / lead
+        b4 = 0.25 * b
+        bb = b4 * b4
+        P = c - 6.0 * bb
+        Q = d - 2.0 * b4 * (c - 4.0 * bb)
+        R = e - b4 * d + bb * (c - 3.0 * bb)
+        # the resolvent in z = m + P/3: z^3 + F z + G
+        PP = P * P
+        s = 0.25 * PP - R
+        F = PP / -12.0 - R
+        G = P * (R / 3.0 - PP / 108.0) - 0.125 * Q * Q
+        D = 0.25 * G * G + F * F * F / 27.0
+        rho = np.sqrt(np.maximum(F / -3.0, 0.0))
+        three = 2.0 * rho * np.cos(np.arccos(np.clip(-0.5 * G / (rho * rho * rho), -1.0, 1.0)) / 3.0)
+        A = -np.copysign(np.cbrt(0.5 * np.abs(G) + np.sqrt(np.maximum(D, 0.0))), G)
+        one = np.where(A != 0.0, A - F / (3.0 * A), 0.0)
+        m = np.where(D < 0.0, three, one) - P / 3.0
+        df = (3.0 * m + 2.0 * P) * m + s
+        f = ((m + P) * m + s) * m - 0.125 * Q * Q
+        m = np.maximum(np.where(df != 0.0, m - f / df, m), 0.0)
+        # (y^2 + P/2 + m)^2 - (sqrt(2m) y - Q / (2 sqrt(2m)))^2; at m = 0,
+        # Q = 0 and the square is that of sqrt(P^2/4 - R)
+        root = np.sqrt(2.0 * m)
+        half = np.where(root > 0.0, 0.5 * Q / root, np.sqrt(np.maximum(s, 0.0)))
+        B = np.stack([-root, root])
+        C = np.stack([half, -half]) + (0.5 * P + m)
+        disc = B * B - 4.0 * C
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        phi = 2.0 * np.arctan(np.concatenate([sq - B, -sq - B]) / 2.0 - b4) + (j - 4) * (np.pi / 4)
+        return np.where(np.isfinite(phi), phi, np.pi).T
+
+
 def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = sign * P v,
     for residuals h (N, 3) and the metric T, one (3, 3) shared by all draws
@@ -554,11 +616,14 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     With a = sign * P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
     (v^T B v) in the angle phi = 2w. Its stationary points are the zeros of
     p = (a^T v')(v^T B v) - (a^T v)(v^T B v'), a trigonometric polynomial of
-    degree 2 (the degree-3 terms cancel) and linear in a. With
-    t = tan(phi / 2), (1 + t^2)^2 p is a real quartic in t; the angle of
-    every root's real part, and phi = pi (t at infinity), are the
-    candidates, and the largest f over them is the maximum. A shared T
-    keeps one BLAS product over all draws, whose bits depend on the batch.
+    degree 2 (the degree-3 terms cancel) and linear in a. Its zeros come
+    in closed form, from Ferrari's method on the quartic (1 + t^2)^2 p in
+    t = tan(theta / 2), theta the angle from a per-draw rotation that
+    keeps every root finite (_rank1_angles). Their angles and phi = pi are
+    the candidates, and the largest f over them is the maximum; a complex
+    pair of roots adds the angle of its real part, a candidate that cannot
+    beat the maximum. A shared T keeps one BLAS product over all draws,
+    whose bits depend on the batch.
     """
     a = sign * (h @ _RANK1_D1)
     B = _RANK1_D1.T @ T @ _RANK1_D1
@@ -571,25 +636,7 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     vBdv = np.einsum("ki,...ij,kj->...k", V, B, dV)
     X = np.moveaxis(np.fft.rfft(dV * vBv[..., None] - V * vBdv[..., None], axis=-2), -2, 0) / 4.0
     trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=-1)
-    to_t = np.array([  # (c0, c1, s1, c2, s2) -> coefficients of t^4 .. t^0
-        [1.0, -1.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 2.0, 0.0, -4.0],
-        [2.0, 0.0, 0.0, -6.0, 0.0],
-        [0.0, 0.0, 2.0, 0.0, 4.0],
-        [1.0, 1.0, 0.0, 1.0, 0.0],
-    ])
-    M = trig @ to_t.T
-    coef = a @ M if M.ndim == 2 else np.einsum("ni,nij->nj", a, M)  # (N, 5)
-    # a vanishing leading coefficient sends a root to infinity (phi = pi,
-    # a candidate anyway); bounding it away from 0 keeps the roots finite
-    scale = np.abs(coef).max(axis=1)
-    tiny = 1e-14 * scale + np.finfo(float).tiny
-    lead = np.where(np.abs(coef[:, 0]) > tiny, coef[:, 0], tiny)
-    comp = np.zeros((h.shape[0], 4, 4))
-    comp[:, 0, :] = -coef[:, 1:] / lead[:, None]
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    roots = np.linalg.eigvals(comp).real
-    ang = np.concatenate([2.0 * np.arctan(roots), np.full((h.shape[0], 1), np.pi)], axis=1)
+    ang = np.concatenate([_rank1_angles(a, trig), np.full((h.shape[0], 1), np.pi)], axis=1)
     Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
     num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
     den = np.einsum("...ki,...ij,...kj->...k", Vc, B, Vc)

@@ -7,7 +7,7 @@ mlp_forward_batch evaluates it. The feasible set is defined by
 ||w_i|| >= eta, an amplitude lower bound and ||theta|| <= M (Euclidean
 norms on the flattened parameter vector). Membership is decided, and
 points are mapped into the set, on that flattened vector, the form the
-optimizer works with (feasible_vector, project_vector).
+optimizer works with (project_vector).
 """
 
 from __future__ import annotations
@@ -289,12 +289,6 @@ def _projection_error(k: int, d: int, box: ConstraintBox) -> ProjectionError:
         f"projection failed: eta={box.eta} and M={box.M} are mutually "
         f"inconsistent for k={k}, d={d}"
     )
-
-
-def feasible_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> bool:
-    """Whether a flattened parameter vector lies in the feasible set: the
-    decision project_vector makes before it changes anything."""
-    return bool(_bounds(vec[None], k, d, box)[0][0])
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:

@@ -17,7 +17,7 @@ from mlplr import (
     profile_lr_curve,
 )
 from mlplr.estimation import _optimize_single, loglik_constant, negloss_and_grad
-from mlplr.model import _sigmoid, augment, feasible_vector, project_vector
+from mlplr.model import _sigmoid, augment, project_vector
 
 
 class TestObjectiveGradient:
@@ -100,7 +100,9 @@ class TestFitMle:
         data = generate_dataset(desk_spec, 80, seed=7)
         fit = fit_mle(data, 2, desk_box, FitConfig(n_starts=4, seed=1))
         theta = fit.theta_hat
-        assert feasible_vector(theta.flatten(), theta.k, theta.input_dim, desk_box)
+        assert all(u.a >= desk_box.eta for u in theta.units)
+        assert all(np.linalg.norm(u.w) >= desk_box.eta for u in theta.units)
+        assert np.linalg.norm(theta.flatten()) <= desk_box.M
 
     def test_loglik_field_matches_conditional_loglik(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 80, seed=7)

@@ -131,6 +131,29 @@ def _frozen_extended_draws(spec, k, gram, n, seed):
     return best
 
 
+def _frozen_eigvals_angles(a, trig):
+    """Frozen copy of the root step that _rank1_gain_d1 took before the
+    closed form: the quartic's coefficients in t = tan(phi / 2), its
+    leading one bounded away from 0, and the real parts of the
+    eigenvalues of its companion matrices."""
+    to_t = np.array([  # (c0, c1, s1, c2, s2) -> coefficients of t^4 .. t^0
+        [1.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, -4.0],
+        [2.0, 0.0, 0.0, -6.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 4.0],
+        [1.0, 1.0, 0.0, 1.0, 0.0],
+    ])
+    M = trig @ to_t.T
+    coef = a @ M if M.ndim == 2 else np.einsum("ni,nij->nj", a, M)
+    scale = np.abs(coef).max(axis=1)
+    tiny = 1e-14 * scale + np.finfo(float).tiny
+    lead = np.where(np.abs(coef[:, 0]) > tiny, coef[:, 0], tiny)
+    comp = np.zeros((a.shape[0], 4, 4))
+    comp[:, 0, :] = -coef[:, 1:] / lead[:, None]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    return 2.0 * np.arctan(np.linalg.eigvals(comp).real)
+
+
 def _block_values_with_columns(gram, ridge, g, cols, v_lin):
     """Frozen copy of the block-system cone value, the reference for the
     residualized _ConeMaximizer.values_with_columns: the whole linear
@@ -467,15 +490,29 @@ class TestSimulateLimit:
         assert len(sample.best_partition) == 200
         assert all(t in ((0, 1), (0, 2)) for t in sample.best_partition)
 
-    def test_desk_draws_are_bit_identical_to_recorded(self, desk_spec):
+    def test_desk_draws_are_bit_identical_to_recorded(self, desk_spec, monkeypatch):
         """sha256 of the k = 2 and k = 3 draws at seed 71, recorded with the
         block-system cone solver that built its own Schur complement in each
-        closed form: residualizing the linear block once for every solver
-        must not move a bit."""
+        closed form and took the rank-one roots from companion matrices:
+        with that root step put back, every other stage must not move a
+        bit."""
+        monkeypatch.setattr(mlplr.limit_law, "_rank1_angles", _frozen_eigvals_angles)
         gram = gram_matrix_gh(desk_spec)
         recorded = {
             2: "a1e8b5f022f2c3f8ea2616619c67b1a26bb0368f250d51b862fafd3d88c26cdd",
             3: "a73f8d7f76d0f4b6e7071705790bcf854f79e474d751268f4950e775985c2d34",
+        }
+        for k, digest in recorded.items():
+            values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
+
+    def test_desk_draws_match_recorded_closed_form(self, desk_spec):
+        """sha256 of the same draws with the closed-form root step, which
+        moves values by a few ulps (TestRank1Roots bounds by how much)."""
+        gram = gram_matrix_gh(desk_spec)
+        recorded = {
+            2: "39696b99acff1bdba3c542e74028ab8e4822df07116e641c26b8b31239b0d7d2",
+            3: "8829eb942dd6f8d752420f1b3d797f5ac7bdafd0e516dad0b5a70ae84f56833f",
         }
         for k, digest in recorded.items():
             values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
@@ -965,6 +1002,153 @@ class TestExtendedD1ClosedForm:
         assert calls == [[(0, 1.0), (1, 1.0)]]
         assert np.all(np.isfinite(s4.values))
         assert np.all(s3.values <= s4.values)
+
+
+class TestRank1Roots:
+    """The closed-form root step of the d = 1 rank-one cone against the
+    frozen companion-matrix step and a dense angle grid over desk draws,
+    and on constructed rows."""
+
+    N = 4000
+
+    @pytest.fixture(scope="class")
+    def metrics(self, desk_spec, desk_box):
+        """(h, T) as simulate_limit hands them to _rank1_gain_d1: the shared
+        metric of the core k = 2 cone, and the per-draw metric that one
+        extra phi column leaves in partition (0, 2) of extended k = 3."""
+        seen = []
+        gain = mlplr.limit_law._rank1_gain_d1
+
+        def spy(h, T, sign):
+            seen.append((h, T))
+            return gain(h, T, sign)
+
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mlplr.limit_law, "_rank1_gain_d1", spy)
+            simulate_limit(desk_spec, 2, gram_matrix_gh(desk_spec), self.N, seed=83)
+            simulate_limit(desk_spec, 3, gram_matrix_gh(desk_spec, basis=basis), self.N, seed=83, extended=True)
+        per_draw = [(h, T) for h, T in seen if T.ndim == 3]
+        assert seen[0][1].ndim == 2 and len(per_draw) == 1
+        return {"shared": seen[0], "per_draw": per_draw[0]}
+
+    @staticmethod
+    def _grid_best(h, T, sign, n=8192, rows=250):
+        """Best ratio over n equally spaced angles, scored rows draws at a
+        time, and the condition number sum |v_i B_ij v_j| / v^T B v of the
+        ratio's denominator at the best angle."""
+        P = mlplr.limit_law._RANK1_D1
+        a, B = sign * (h @ P), P.T @ T @ P
+        phi = np.arange(n) * (2.0 * np.pi / n)
+        V = np.stack([np.ones(n), np.cos(phi), np.sin(phi)], axis=1)
+        best, at = np.empty(len(a)), np.empty(len(a), dtype=int)
+        for i in range(0, len(a), rows):
+            num = np.maximum(a[i : i + rows] @ V.T, 0.0)
+            f = num * num / np.einsum("ki,...ij,kj->...k", V, B if B.ndim == 2 else B[i : i + rows], V)
+            best[i : i + rows], at[i : i + rows] = f.max(axis=1), f.argmax(axis=1)
+        v, Bn = V[at], np.broadcast_to(B, (len(a), 3, 3))
+        cond = np.einsum("ni,nij,nj->n", np.abs(v), np.abs(Bn), np.abs(v)) / np.einsum("ni,nij,nj->n", v, Bn, v)
+        return best, cond
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("metric", ["shared", "per_draw"])
+    def test_matches_eigvals_and_never_falls_below_a_dense_grid(self, metrics, metric, sign, monkeypatch):
+        h, T = metrics[metric]
+        got = mlplr.limit_law._rank1_gain_d1(h, T, sign)
+        monkeypatch.setattr(mlplr.limit_law, "_rank1_angles", _frozen_eigvals_angles)
+        ref = mlplr.limit_law._rank1_gain_d1(h, T, sign)
+        grid, cond = self._grid_best(h, T, sign)
+        # both steps feed the unchanged ratio angles that differ in their
+        # last bits, and its denominator at the maximum loses log10(cond)
+        # digits to cancellation (cond up to 2e3 on the per-draw metric;
+        # the two part by at most 3.4 eps cond)
+        tol = np.maximum(1e-13, 8.0 * np.finfo(float).eps * cond) * (1.0 + np.abs(ref))
+        assert np.all(np.abs(got - ref) <= tol)
+        assert np.all(got >= grid - 1e-12 * (1.0 + np.abs(grid)))
+        assert np.mean(got != ref) > 0.1  # the new step did run
+
+    @staticmethod
+    def _row(a, B, sign):
+        """(h, T) for which _rank1_gain_d1 sees a and B."""
+        Pinv = np.linalg.inv(mlplr.limit_law._RANK1_D1)
+        return sign * (a @ Pinv), np.swapaxes(Pinv, -1, -2) @ B @ Pinv
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_maximum_at_a_known_angle(self, sign):
+        """With a = B v(phi0) the ratio peaks at phi0 over all of R^3, so the
+        gain is v(phi0)^T B v(phi0). The first rows put phi0 at pi, where p
+        vanishes and with it the quartic's leading coefficient."""
+        rng = np.random.default_rng(89)
+        n = 2000
+        phi0 = rng.uniform(-np.pi, np.pi, n)
+        phi0[:50] = np.pi
+        v0 = np.stack([np.ones(n), np.cos(phi0), np.sin(phi0)], axis=1)
+        Q = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+        B = np.einsum("nij,nj,nkj->nik", Q, 10.0 ** rng.uniform(-3.0, 0.0, (n, 3)), Q)
+        a = np.einsum("nij,nj->ni", B, v0)
+        h, T = self._row(a, B, sign)
+        want = np.einsum("ni,nij,nj->n", v0, B, v0)
+        got = mlplr.limit_law._rank1_gain_d1(h, T, sign)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_zero_draw_gains_nothing(self):
+        T = np.eye(3) + 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for metric in (T, np.stack([T, 2.0 * T])):
+                gain = mlplr.limit_law._rank1_gain_d1(np.zeros((2, 3)), metric, 1.0)
+                assert gain.tolist() == [0.0, 0.0]
+
+    @staticmethod
+    def _with_roots(roots, lift=0.0):
+        """Coefficients (c0, c1, s1, c2, s2) of prod_i sin((phi - r_i) / 2)
+        + lift, a trigonometric polynomial of degree 2 with zeros at the
+        four roots when lift = 0."""
+        phi = np.arange(8) * (np.pi / 4)
+        X = np.fft.rfft(np.prod(np.sin((phi[:, None] - np.asarray(roots)) / 2.0), axis=1) + lift) / 4.0
+        return np.array([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag])
+
+    @pytest.mark.parametrize("roots, tol", [
+        ((-2.5, -0.4, 1.1, 3.0), 1e-12),  # four real roots, one near pi
+        ((-np.pi, -1.2, 0.3, 2.0), 1e-12),  # one at pi: the leading coefficient is 0
+        ((0.7, 0.7, -1.9, 2.6), 1e-7),  # a double root, found to about sqrt(eps)
+        ((1.0, 1.0, -2.0, -2.0), 1e-7),  # two double roots
+    ])
+    def test_every_real_root_is_found(self, roots, tol):
+        coef = self._with_roots(roots)
+        got = mlplr.limit_law._rank1_angles(np.stack([coef, -3.0 * coef]), np.eye(5))
+        assert got.shape == (2, 4) and np.all(np.isfinite(got))
+        for r in roots:
+            gap = np.abs(np.angle(np.exp(1j * (got - r))))  # distance on the circle
+            assert np.all(gap.min(axis=1) <= tol), r
+
+    def test_random_rows_find_every_real_root(self):
+        """20,000 rows of random coefficients, over six decades of scale,
+        against the frozen companion-matrix roots, each polished by Newton
+        steps on p in long double; those that reach a zero of p are its
+        real roots."""
+        rng = np.random.default_rng(97)
+        coef = rng.standard_normal((20_000, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (20_000, 1))
+        phi = _frozen_eigvals_angles(coef, np.eye(5)).astype(np.longdouble)
+        c0, c1, s1, c2, s2 = coef.T.astype(np.longdouble)[..., None]
+        for _ in range(8):
+            cs, sn = np.cos(phi), np.sin(phi)
+            cs2, sn2 = cs * cs - sn * sn, 2 * sn * cs
+            val = c0 + c1 * cs + s1 * sn + c2 * cs2 + s2 * sn2
+            phi = phi - val / (s1 * cs - c1 * sn + 2 * (s2 * cs2 - c2 * sn2))
+        real = np.abs(val) <= 1e-15 * np.abs(coef).sum(axis=1, keepdims=True)
+        assert real.mean() > 0.5
+        got = mlplr.limit_law._rank1_angles(coef, np.eye(5))
+        gap = np.abs(np.angle(np.exp(1j * (got[:, None, :] - phi.astype(float)[:, :, None])))).min(axis=2)
+        assert np.all(gap[real] <= 1e-10)
+
+    def test_no_real_root_gives_finite_angles(self):
+        coef = self._with_roots((-2.5, -0.4, 1.1, 3.0), lift=2.0)
+        phi = np.linspace(-np.pi, np.pi, 1001)
+        at = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)], axis=1)
+        assert np.all(at @ coef > 0.5)  # p has no real zero
+        got = mlplr.limit_law._rank1_angles(coef[None], np.eye(5))
+        assert got.shape == (1, 4) and np.all(np.isfinite(got))
 
 
 class TestSignFreeExtras:
