@@ -30,7 +30,6 @@ from .likelihood import (
     taylor_terms,
 )
 from .limit_law import (
-    ConeOptSettings,
     ConeSpec,
     GramMatrix,
     H4Report,

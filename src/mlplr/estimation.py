@@ -16,7 +16,7 @@ validated against finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitConfig":
+        if unknown := set(d) - {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown FitConfig keys {sorted(unknown)}")
         warm = d.get("warm_starts")
         return cls(
             n_starts=int(d.get("n_starts", 20)),
@@ -99,7 +101,6 @@ class FitResult:
     per_start_logliks: list[float]
     per_start_converged: list[bool] = field(default_factory=list)
     per_start_iters: list[int] = field(default_factory=list)
-    trace: list[float] | None = None  # loglik trace of the winning start
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +209,9 @@ def _optimize_single(
     box: ConstraintBox,
     config: FitConfig,
 ):
-    """One projected quasi-Newton run; returns (vec, f, converged, iters, f_trace).
+    """One projected quasi-Newton run; returns (vec, f, converged, iters,
+    f_trace), f_trace the objective at the start and at every accepted
+    step.
 
     The Armijo search halves the step along the projected arc, up to 40
     steps, then falls back to up to 60 halved steps of projected steepest
@@ -272,14 +275,12 @@ def _optimize_single(
                 S.pop(0)
                 Y.pop(0)
                 rho.pop(0)
-        small_step = s_norm <= config.step_tol
         vec, f, g = cand, fc, gc
         trace.append(f)
-        if small_step:
-            pg = vec - project_vector(vec - g, k, d, box)
-            return vec, f, bool(np.abs(pg).max() <= config.grad_tol), it + 1, trace
+        if s_norm <= config.step_tol:
+            break
     pg = vec - project_vector(vec - g, k, d, box)
-    return vec, f, bool(np.abs(pg).max() <= config.grad_tol), config.max_iters, trace
+    return vec, f, bool(np.abs(pg).max() <= config.grad_tol), len(trace) - 1, trace
 
 
 def fit_mle(
@@ -287,7 +288,6 @@ def fit_mle(
     k: int,
     box: ConstraintBox,
     config: FitConfig,
-    keep_trace: bool = False,
 ) -> FitResult:
     """Constrained MLE at width k via multi-start projected L-BFGS.
 
@@ -321,12 +321,12 @@ def fit_mle(
     per_iters: list[int] = []
     const = loglik_constant(data.n, data.sigma2)
     for idx, vec0 in enumerate(starts):
-        vec, f, conv, iters, trace = _optimize_single(vec0, Xa, y, data.sigma2, k, d, box, config)
+        vec, f, conv, iters, _ = _optimize_single(vec0, Xa, y, data.sigma2, k, d, box, config)
         per_logliks.append(const - f)
         per_conv.append(conv)
         per_iters.append(iters)
         if best is None or f < best[1]:
-            best = (vec, f, conv, trace)
+            best = (vec, f, conv)
     theta_hat = MlpParams.unflatten(best[0], k, d)
     return FitResult(
         theta_hat=theta_hat,
@@ -336,7 +336,6 @@ def fit_mle(
         per_start_logliks=per_logliks,
         per_start_converged=per_conv,
         per_start_iters=per_iters,
-        trace=[const - f for f in best[3]] if keep_trace else None,
     )
 
 
@@ -391,11 +390,10 @@ def profile_lr_curve(
     entries: list[ProfileEntry] = []
     prev_fit: FitResult | None = None
     for k in range(1, k_max + 1):
-        warm = [t for t in (config.warm_starts or []) if t.k == k and t.input_dim == data.d]
+        warm = config.warm_starts or []
         if prev_fit is not None:
             warm = _embedded_starts(prev_fit.theta_hat, box, config.seed, k, config.init_scale) + warm
-        cfg_k = replace(config, warm_starts=warm or None)
-        fit = fit_mle(data, k, box, cfg_k)
+        fit = fit_mle(data, k, box, replace(config, warm_starts=warm or None))
         entries.append(ProfileEntry(k, fit.loglik, fit))
         prev_fit = fit
     return entries

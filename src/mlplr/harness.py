@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -16,19 +16,19 @@ from .likelihood import (
     density_ratio,
     fd_check_derivatives,
     lr_statistic,
-    residual_score,
     taylor_terms,
 )
 from .limit_law import (
     GramMatrix,
     LimitSample,
+    Partition,
     ScoreBasis,
     enumerate_partitions,
     gram_matrix,
     gram_matrix_gh,
     simulate_limit,
 )
-from .model import ConstraintBox, Dataset, RegressionSpec, generate_dataset, stable_hash
+from .model import ConstraintBox, RegressionSpec, draw_inputs, generate_dataset, mlp_forward_batch, stable_hash
 from .selection import PenaltySchedule, penalty_value, select_width
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_grid or not self.k_grid:
             raise ValueError("n_grid and k_grid must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        if min(self.k_grid) < 1 or min(self.n_grid) < 2:
+            raise ValueError("widths must be at least 1 and sample sizes at least 2")
+        if self.replicates < 1 or self.limit_draws < 0:
+            raise ValueError("replicates must be at least 1 and limit_draws non-negative")
 
     def to_dict(self) -> dict:
         return {
@@ -122,6 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if unknown := set(d) - {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown ExperimentConfig keys {sorted(unknown)}")
         return cls(
             spec=RegressionSpec.from_dict(d["spec"]),
             box=ConstraintBox.from_dict(d["box"]),
@@ -273,6 +277,17 @@ def run_replicates(config: ExperimentConfig, threads: int = 1) -> ReplicateMatri
 # ---------------------------------------------------------------------------
 
 
+def _random_fractions(part: Partition, rng: np.random.Generator) -> np.ndarray:
+    """Positive within-group fractions q_j of a partition's fitted units,
+    each group's summing to one."""
+    psi = np.zeros(part.total_units)
+    for gi in range(1, part.k0 + 1):
+        grp = [j - 1 for j in part.group(gi)]
+        raw = rng.uniform(0.2, 1.0, size=len(grp))
+        psi[grp] = raw / raw.sum()
+    return psi
+
+
 def gradcheck(
     spec: RegressionSpec,
     k: int,
@@ -287,34 +302,23 @@ def gradcheck(
     fractions, and an observation from the true law, then compares every
     analytic first and second derivative with central differences.
     """
-    from .model import draw_inputs, mlp_forward_batch
-
     parts = enumerate_partitions(k, spec.k0)
-    max_first = 0.0
-    max_second = 0.0
     firsts = []
     seconds = []
     for i in range(n_draws):
         rng = np.random.default_rng([seed, i])
         part = parts[rng.integers(len(parts))]
-        psi = np.zeros(part.total_units)
-        for gi in range(1, part.k0 + 1):
-            grp = list(part.group(gi))
-            raw = rng.uniform(0.2, 1.0, size=len(grp))
-            psi[[j - 1 for j in grp]] = raw / raw.sum()
-        rep = base_reparameterization(part, spec, psi)
+        rep = base_reparameterization(part, spec, _random_fractions(part, rng))
         x = draw_inputs(spec, 1, rng)[0]
         y = float(mlp_forward_batch(spec.theta0, x[None, :])[0] + np.sqrt(spec.sigma2) * rng.standard_normal())
         report = fd_check_derivatives(rep, spec, x, y, step_first, step_second)
         firsts.append(report.max_first)
         seconds.append(report.max_second)
-        max_first = max(max_first, report.max_first)
-        max_second = max(max_second, report.max_second)
     return {
         "draws": n_draws,
         "k": k,
-        "max_rel_error_first": max_first,
-        "max_rel_error_second": max_second,
+        "max_rel_error_first": max([0.0, *firsts]),
+        "max_rel_error_second": max([0.0, *seconds]),
         "per_draw_first": firsts,
         "per_draw_second": seconds,
     }
@@ -332,17 +336,10 @@ def expansion_decay(
     The z draws and the displacement direction are shared across scales,
     so consecutive entries shrink roughly eightfold under cubic decay.
     """
-    from .model import draw_inputs, mlp_forward_batch
-
     parts = [p for p in enumerate_partitions(k, spec.k0) if p.total_units == k]
     part = parts[-1]
     rng = np.random.default_rng(seed)
-    psi = np.zeros(part.total_units)
-    for gi in range(1, part.k0 + 1):
-        grp = list(part.group(gi))
-        raw = rng.uniform(0.2, 1.0, size=len(grp))
-        psi[[j - 1 for j in grp]] = raw / raw.sum()
-    base = base_reparameterization(part, spec, psi)
+    base = base_reparameterization(part, spec, _random_fractions(part, rng))
     direction = rng.standard_normal(len(base.phi))
     direction /= np.linalg.norm(direction)
     X = draw_inputs(spec, n_draws, rng)
@@ -352,7 +349,7 @@ def expansion_decay(
         rep = base.displaced(scale * direction)
         rem = 0.0
         for xi, yi in zip(X, y):
-            terms = taylor_terms(rep, spec, xi, float(yi), norm_draws=0)
+            terms = taylor_terms(rep, spec, xi, float(yi))
             rem += abs(
                 density_ratio(rep, spec, xi, float(yi))
                 - 1.0 - terms.first_order - 0.5 * terms.second_order

@@ -116,13 +116,6 @@ class Reparameterization:
     def q(self, j: int) -> float:
         return float(self.psi[j - 1])
 
-    def phi_labels(self) -> list[str]:
-        d1 = self.input_dim() + 1
-        out = ["beta"]
-        out += [f"w{j}[{l}]" for j in range(1, self.partition.total_units + 1) for l in range(d1)]
-        out += [f"s{i}" for i in range(1, self.k0 + 1)]
-        return out
-
     def displaced(self, delta: np.ndarray) -> "Reparameterization":
         return Reparameterization(self.partition, self.phi + np.asarray(delta, dtype=float), self.psi)
 
@@ -220,31 +213,10 @@ def _base_gradients(rep: Reparameterization, spec: RegressionSpec, xa: np.ndarra
 
 @dataclass
 class TaylorTerms:
-    """First- and second-order terms of f_theta/f - 1 around the base point,
-    plus the L2 displacement scale D the remainder is measured against."""
+    """First- and second-order terms of f_theta/f - 1 around the base point."""
 
     first_order: float
     second_order: float
-    remainder_norm: float
-
-
-def displacement_norm(
-    rep: Reparameterization,
-    spec: RegressionSpec,
-    n_draws: int = 2048,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of D = || f_theta/f - 1 ||_2 under the truth."""
-    from .model import draw_inputs  # local import to keep module surface tidy
-
-    rng = np.random.default_rng(seed)
-    X = draw_inputs(spec, n_draws, rng)
-    Xa = augment(X)
-    f0 = mlp_forward_batch(spec.theta0, X)
-    y = f0 + np.sqrt(spec.sigma2) * rng.standard_normal(n_draws)
-    f_val = _regression_value(rep, spec, Xa)
-    ratio = np.exp(-((y - f_val) ** 2) / (2 * spec.sigma2) + (y - f0) ** 2 / (2 * spec.sigma2))
-    return float(np.sqrt(np.mean((ratio - 1.0) ** 2)))
 
 
 def taylor_terms(
@@ -252,8 +224,6 @@ def taylor_terms(
     spec: RegressionSpec,
     x,
     y: float,
-    norm_draws: int = 2048,
-    norm_seed: int = 0,
 ) -> TaylorTerms:
     """Evaluate the two expansion terms of the density ratio at z = (x, y).
 
@@ -270,8 +240,7 @@ def taylor_terms(
     lin = float(grad @ delta)
     first = e * lin
     second = (e * e - 1.0 / spec.sigma2) * lin * lin + e * float(delta @ hess @ delta)
-    d_norm = displacement_norm(rep, spec, norm_draws, norm_seed) if norm_draws > 0 else float("nan")
-    return TaylorTerms(first, second, d_norm)
+    return TaylorTerms(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +254,6 @@ class FdCheckReport:
 
     first_errors: np.ndarray  # (P,)
     second_errors: np.ndarray  # (P, P)
-    labels: list[str]
 
     @property
     def max_first(self) -> float:
@@ -349,4 +317,4 @@ def fd_check_derivatives(
 
     first_err = np.abs(fd_grad - an_grad) / np.maximum(1.0, np.abs(an_grad))
     second_err = np.abs(fd_hess - an_hess) / np.maximum(1.0, np.abs(an_hess))
-    return FdCheckReport(first_err, second_err, base.phi_labels())
+    return FdCheckReport(first_err, second_err)

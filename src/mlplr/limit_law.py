@@ -220,18 +220,21 @@ def _finalize_gram(x_gram: np.ndarray, spec: RegressionSpec, draws: int, seed: i
     return GramMatrix(x_gram / spec.sigma2, x_gram, draws, seed, basis, method)
 
 
+_GRAM_CHUNK = 50_000
+
+
 def gram_matrix(
     spec: RegressionSpec,
     mc_draws: int,
     seed: int,
     basis: ScoreBasis | None = None,
-    chunk: int = 50_000,
 ) -> GramMatrix:
     """Monte-Carlo estimate of E[B(X) B(X)^T] under the input law.
 
     The residual factor is exact: E[e^2] = 1/sigma2 with e independent of
-    X, so sigma = x_gram / sigma2. Accumulation runs over fixed-size
-    chunks in a fixed order, so the result is reproducible bit for bit.
+    X, so sigma = x_gram / sigma2. Accumulation runs over chunks of
+    _GRAM_CHUNK inputs in a fixed order, so the result is reproducible
+    bit for bit.
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be at least 1")
@@ -241,7 +244,7 @@ def gram_matrix(
     acc = np.zeros((basis.dim, basis.dim))
     left = mc_draws
     while left > 0:
-        m = min(chunk, left)
+        m = min(_GRAM_CHUNK, left)
         B = eval_score_basis_batch(spec, draw_inputs(spec, m, rng), basis)
         acc += B.T @ B
         left -= m
@@ -410,23 +413,14 @@ class ConeSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeOptSettings:
-    """Settings of the one fallback cone search (_optimize_partition_general),
-    which reads the module-level instance _SEARCH.
-
-    They drive only the partitions without a closed form: every partition
-    with a quadratic term at d > 1, and at d = 1 those whose quadratic
-    directions fall on several true units. Every d = 1 cone of one true
-    unit is solved exactly, with or without extra phi columns.
-    """
-
-    golden_iters: int = 48
-    restarts: int = 8  # direction restarts
-    sweeps: int = 3  # coordinate-ascent sweeps over quadratic directions
-
-
-_SEARCH = ConeOptSettings()
+# Settings of the one fallback cone search (_optimize_partition_general).
+# They drive only the partitions without a closed form: every partition
+# with a quadratic term at d > 1, and at d = 1 those whose quadratic
+# directions fall on several true units. Every d = 1 cone of one true unit
+# is solved exactly, with or without extra phi columns.
+_SEARCH_RESTARTS = 8  # direction restarts
+_SEARCH_SWEEPS = 3  # coordinate-ascent sweeps over quadratic directions
+_SEARCH_GOLDEN_STEPS = 24  # golden-section steps per coordinate plane
 
 
 @dataclass
@@ -719,7 +713,7 @@ def _optimize_partition_general(
     rng = np.random.default_rng([abs(hash(seed_key)) % 2**32])
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     best = v_lin.copy()
-    for _ in range(max(_SEARCH.restarts, 1)):
+    for _ in range(_SEARCH_RESTARTS):
         U = rng.standard_normal((R, p1))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         dirs = np.tile(U[None, :, :], (N, 1, 1))
@@ -731,7 +725,7 @@ def _optimize_partition_general(
             ]
             return np.stack(cols, axis=1)
 
-        for _ in range(_SEARCH.sweeps):
+        for _ in range(_SEARCH_SWEEPS):
             for r in range(R):
                 for axis in range(p1):
                     e = np.zeros(p1)
@@ -744,7 +738,7 @@ def _optimize_partition_general(
                     v[ok] /= nv[ok][:, None]
                     lo = np.full(N, -np.pi / 2)
                     hi = np.full(N, np.pi / 2)
-                    for _ in range(_SEARCH.golden_iters // 2):
+                    for _ in range(_SEARCH_GOLDEN_STEPS):
                         m1 = hi - gr * (hi - lo)
                         m2 = lo + gr * (hi - lo)
                         d1 = dirs.copy()
@@ -774,11 +768,8 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
     process left over once the columns chosen so far are removed. Each
     step takes the largest gain per draw; the chosen column's row of the
     pivoted Cholesky factor then updates y and the diagonal of C, so every
-    array is (N, J). Each column is oriented by the sign of its
-    coefficient in the draw's fit on all chosen columns, so the
-    values_with_columns call that scores a partition without quadratic
-    directions, which holds its columns sign-constrained, returns that
-    fit's value. Returns per-draw columns (N, chosen, p).
+    array is (N, J). Returns per-draw unit columns (N, chosen, p), for
+    the solvers to take sign-free.
     """
     N, p = h.shape
     extra = mx.basis.core_dim + np.arange(len(mx.basis.extra_w))
@@ -798,10 +789,8 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
         free[draws, j] = False
         rows.append(row)
         picks.append(j)
-    J = np.stack(picks, axis=1)
-    b = np.linalg.solve(C[J[:, :, None], J[:, None, :]], h[draws[:, None], extra[J], None])[..., 0]
     chosen = np.zeros((N, len(picks), p))
-    chosen[draws[:, None], np.arange(len(picks)), extra[J]] = np.where(b < -1e-12, -1.0, 1.0)
+    chosen[draws[:, None], np.arange(len(picks)), extra[np.stack(picks, axis=1)]] = 1.0
     return chosen
 
 
@@ -1086,7 +1075,7 @@ def _partition_row(
     quad_units = cone.quad_units()
     fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
     if not quad_units:
-        return (v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)), "linear"
+        return (v_lin if fixed is None else mx.values_with_columns(h, fixed[:, :0], v_lin, fixed)), "linear"
     if mx.basis.d == 1 and len(set(quad_units)) == 1:
         unit, sign = quad_units[0]
         row = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed, shared.gains)
@@ -1116,8 +1105,7 @@ def simulate_limit(
     the winning partition: the linear block (plus any extra columns)
     alone; at d = 1, the closed forms for one true unit's rank-one or full
     PSD cone, extra columns included; otherwise (d > 1, or quadratic
-    directions on several true units) the sphere search with the settings
-    _SEARCH. The core basis must pass check_h4 at its default tolerance.
+    directions on several true units) the sphere search. The core basis must pass check_h4 at its default tolerance.
 
     Deterministic given the seed: draw i is exactly
     default_rng([seed, i]).standard_normal(p) mapped by the lower Cholesky

@@ -17,7 +17,6 @@ import pytest
 from scipy.stats import chi2
 
 from mlplr import (
-    ConeOptSettings,
     ExperimentConfig,
     FitConfig,
     PenaltySchedule,

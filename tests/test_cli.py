@@ -36,10 +36,10 @@ class TestGenFitLr:
         code = run(
             ["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
              "--fit-config", workdir / "fit.json", "--spec", workdir / "spec.json",
-             "--out", "fit.json", "--out-dir", workdir]
+             "--out", "fit_result.json", "--out-dir", workdir]
         )
         assert code == 0
-        fit = json.loads((workdir / "fit.json").read_text())
+        fit = json.loads((workdir / "fit_result.json").read_text())
         assert {"theta_hat", "loglik", "converged", "n_starts_used", "per_start_logliks",
                 "config_hash", "seed"} <= set(fit)
 
@@ -75,6 +75,16 @@ class TestGenFitLr:
         code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
                     "--fit-config", workdir / "bad_fit.json", "--out-dir", workdir])
         assert code == 2
+
+    def test_unknown_fit_config_key_is_config_error(self, workdir):
+        """A mistyped key (max_iter for max_iters) is rejected, not run
+        with the default it meant to override."""
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "bad_fit.json").write_text(json.dumps({"n_starts": 1, "max_iter": 5}))
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--fit-config", workdir / "bad_fit.json", "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
 
     @pytest.mark.parametrize(
         "bad",
@@ -224,3 +234,25 @@ class TestExperiment:
     def test_invalid_config_is_exit_2(self, workdir):
         (workdir / "exp.json").write_text(json.dumps({"spec": {}}))
         assert run(["experiment", "--config", workdir / "exp.json", "--out-dir", workdir]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"k_grid": [0, 2]}, {"n_grid": [1]}, {"limit_draws": -1}, {"replicate": 2}, {"fit": {"max_iter": 5}}],
+        ids=["width_0", "n_1", "negative_limit_draws", "unknown_key", "unknown_fit_key"],
+    )
+    def test_bad_grid_or_key_is_exit_2(self, workdir, desk_spec, desk_box, bad):
+        config = {
+            "spec": desk_spec.to_dict(),
+            "box": desk_box.to_dict(),
+            "fit": {"n_starts": 1, "seed": 0, "max_iters": 50},
+            "schedule": {"kind": "bic_like", "input_dim": 1},
+            "n_grid": [30],
+            "k_grid": [1, 2],
+            "replicates": 1,
+            "base_seed": 9,
+            **bad,
+        }
+        (workdir / "exp.json").write_text(json.dumps(config))
+        out = workdir / "results"
+        assert run(["experiment", "--config", workdir / "exp.json", "--out-dir", out]) == 2
+        assert not out.exists()

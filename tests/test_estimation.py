@@ -109,11 +109,23 @@ class TestFitMle:
         fit = fit_mle(data, 1, desk_box, FitConfig(n_starts=2, seed=1))
         assert fit.loglik == conditional_loglik(fit.theta_hat, data)
 
-    def test_monotone_objective_trace(self, desk_spec, desk_box):
+    def test_monotone_objective_trace(self, desk_spec, desk_box, monkeypatch):
+        """The loglik trace that _optimize_single returns, of every start
+        the fit runs, the winning one included."""
+        traces = []
+
+        def spy(*args):
+            out = _optimize_single(*args)
+            traces.append(out[4])
+            return out
+
+        monkeypatch.setattr(mlplr.estimation, "_optimize_single", spy)
         data = generate_dataset(desk_spec, 120, seed=9)
-        fit = fit_mle(data, 2, desk_box, FitConfig(n_starts=3, seed=2), keep_trace=True)
-        trace = np.array(fit.trace)
-        assert np.all(np.diff(trace) >= 0)  # accepted iterations never decrease
+        fit = fit_mle(data, 2, desk_box, FitConfig(n_starts=3, seed=2))
+        const = loglik_constant(data.n, data.sigma2)
+        assert len(traces) == 3 and max(const - t[-1] for t in traces) == max(fit.per_start_logliks)
+        for trace in traces:
+            assert np.all(np.diff(const - np.array(trace)) >= 0)  # accepted iterations never decrease
 
     def test_projected_gradient_stationarity(self, desk_spec, desk_box):
         from mlplr.model import project_vector

@@ -34,6 +34,7 @@ from mlplr.limit_law import (
     _draw_from_outputs,
     _gaussian_draws,
     _greedy_extra_columns,
+    _optimize_partition_general,
     _standard_normals,
     _stream_words,
     _ziggurat_tables,
@@ -63,7 +64,7 @@ def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
     quadratic direction that scored the d = 1 cones with extra phi columns
     before they had a closed form (64-angle grid, 48 golden-section steps,
     3 sweeps). The extra columns enter sign-constrained, in the
-    orientation _greedy_extra_columns gives them."""
+    orientation _oriented gives them."""
     angle_grid, golden_iters, sweeps = 64, 48, 3
     N = h.shape[0]
     R = len(quad_units)
@@ -108,6 +109,48 @@ def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
     return best
 
 
+def _oriented(mx, h, chosen):
+    """The greedy extra phi columns chosen (N, m, p), oriented as
+    _greedy_extra_columns once returned them for a partition without
+    quadratic directions to score sign-constrained: each by the sign of
+    its coefficient in the draw's fit on all chosen columns."""
+    N, m, _ = chosen.shape
+    draws = np.arange(N)[:, None]
+    idx = chosen.argmax(axis=2)
+    C = mx.T[idx[:, :, None], idx[:, None, :]] + mx.ridge * np.eye(m)
+    b = np.linalg.solve(C, h[draws, idx, None])[..., 0]
+    out = np.zeros_like(chosen)
+    out[draws, np.arange(m), idx] = np.where(b < -1e-12, -1.0, 1.0)
+    return out
+
+
+def _frozen_signed_extras_sample(spec, k, gram, n, seed):
+    """Frozen copy of simulate_limit on the extended index set when a
+    partition without quadratic directions scored its greedy extra
+    columns sign-constrained, in the orientation _oriented gives them
+    (the other solvers take them sign-free): values and path."""
+    mx = _ConeMaximizer(gram)
+    g = _gaussian_draws(gram.sigma, n, seed)
+    v_lin, h = mx.linear_values(g), mx.residual(g)
+    signs = np.sign([u.a for u in spec.theta0.units])
+    gains, rows, paths = {}, [], []
+    for part in enumerate_partitions(k, spec.k0):
+        quad_units = ConeSpec(part, gram.basis, signs).quad_units()
+        n_free = k - part.total_units
+        fixed = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free)) if n_free > 0 else None
+        if not quad_units:
+            rows.append(v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin))
+            paths.append("linear")
+        elif gram.basis.d == 1 and len(set(quad_units)) == 1:
+            rows.append(_exact_partition_d1(mx, h, v_lin, *quad_units[0], len(quad_units), fixed, gains))
+            paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
+        else:
+            rows.append(_optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed))
+            paths.append("search")
+    best = np.argmax(rows, axis=0)
+    return np.array(rows)[best, np.arange(n)], np.array(paths)[best]
+
+
 def _frozen_extended_draws(spec, k, gram, n, seed):
     """Extended-index-set draws at d = 1, k0 = 1 as simulate_limit gave
     them when the cones with extra phi columns went to the frozen search."""
@@ -120,7 +163,7 @@ def _frozen_extended_draws(spec, k, gram, n, seed):
     for part in enumerate_partitions(k, 1):
         quad_units = ConeSpec(part, gram.basis, signs).quad_units()
         n_free = k - part.total_units
-        fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
+        fixed = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free)) if n_free > 0 else None
         if not quad_units:
             val = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
         elif fixed is None:
@@ -916,7 +959,7 @@ class TestExactConeD1:
         h = mx.residual(g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # chosen columns are masked, not divided by 0
-            got = _greedy_extra_columns(mx, h, n_free)
+            got = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free))
         np.testing.assert_array_equal(got, chosen)
         scored = mx.values_with_columns(h, got, v_lin)
         # one column of this grid keeps a residual variance of 2.1e-8 after
@@ -1165,7 +1208,7 @@ class TestSignFreeExtras:
         g = _desk_draws(gram, 200, seed=83)
         h = mx.residual(g)
         v_lin = mx.linear_values(g)
-        extras = _greedy_extra_columns(mx, h, 2)
+        extras = _oriented(mx, h, _greedy_extra_columns(mx, h, 2))
         rng = np.random.default_rng(89)
         cols = np.stack([_direction_columns(gram.basis, u, 1.0, rng.standard_normal((200, 3))) for u in (0, 1)], axis=1)
         got = mx.values_with_columns(h, cols, v_lin, extras)
@@ -1177,3 +1220,23 @@ class TestSignFreeExtras:
         best_fixed = np.max(list(fixed.values()), axis=0)
         assert np.all(got <= best_fixed + 1e-9 * (1.0 + best_fixed))
         assert np.any(got > fixed[(1.0, 1.0)] + 1e-6 * (1.0 + got))
+
+    @pytest.mark.parametrize("d, k", [(1, 2), (1, 3), (1, 4), (2, 3)], ids=["d1_gh_k2", "d1_gh_k3", "d1_gh_k4", "d2_mc_k3"])
+    def test_sign_free_greedy_columns_keep_the_signed_bits(self, desk_box, d, k):
+        """A partition without quadratic directions scores its greedy extra
+        columns sign-free. That gives, bit for bit in values and path,
+        what the oriented columns held sign-constrained gave."""
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0] if d == 1 else [0.5, 1.0, -0.5]))]
+        if d == 1:
+            spec = RegressionSpec(MlpParams(0.5, units), 1.0, 1)
+            basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
+            gram, n = gram_matrix_gh(spec, basis=basis), 500
+        else:
+            spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
+            basis = ScoreBasis(1, 2, extended_grid(desk_box, 2, n_angles=6, radii=(1.0, 5.0)))
+            gram, n = gram_matrix(spec, 20_000, seed=3, basis=basis), 40
+        sample = simulate_limit(spec, k, gram, n, seed=97, extended=True)
+        values, path = _frozen_signed_extras_sample(spec, k, gram, n, 97)
+        np.testing.assert_array_equal(sample.values, values)
+        np.testing.assert_array_equal(sample.path, path)
+        assert "linear" in set(path)  # the sign-free scoring decides some draws
