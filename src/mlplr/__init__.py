@@ -5,7 +5,7 @@ selection, and a Monte Carlo simulator of the asymptotic LR law under
 over-parameterization.
 """
 
-from .estimation import FitConfig, FitResult, ProfileEntry, fit_mle, profile_lr_curve
+from .estimation import FitConfig, FitResult, ProfileEntry, ProjectionError, fit_mle, profile_lr_curve
 from .harness import (
     ExperimentConfig,
     ReplicateMatrix,
@@ -49,7 +49,6 @@ from .model import (
     Dataset,
     HiddenUnit,
     MlpParams,
-    ProjectionError,
     RegressionSpec,
     generate_dataset,
     mlp_forward_batch,

@@ -16,7 +16,8 @@ validated against finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .model import (
     HiddenUnit,
     MlpParams,
     _norm,
-    _projection_error,
     _sigmoid,
     augment,
+    from_config,
     project_vector,
 )
 
@@ -76,17 +77,9 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitConfig":
-        if unknown := set(d) - {f.name for f in fields(cls)}:
-            raise ValueError(f"unknown FitConfig keys {sorted(unknown)}")
-        warm = d.get("warm_starts")
-        return cls(
-            n_starts=int(d.get("n_starts", 20)),
-            max_iters=int(d.get("max_iters", 300)),
-            grad_tol=float(d.get("grad_tol", 1e-6)),
-            step_tol=float(d.get("step_tol", 1e-12)),
-            seed=int(d.get("seed", 0)),
-            init_scale=float(d.get("init_scale", 1.0)),
-            warm_starts=[MlpParams.from_dict(t) for t in warm] if warm else None,
+        return from_config(
+            cls, d, n_starts=int, max_iters=int, grad_tol=float, step_tol=float, seed=int, init_scale=float,
+            warm_starts=lambda ws: [MlpParams.from_dict(t) for t in ws] if ws else None,
         )
 
 
@@ -164,6 +157,19 @@ def loglik_constant(n: int, sigma2: float) -> float:
 # Projected L-BFGS
 # ---------------------------------------------------------------------------
 
+
+class ProjectionError(ValueError):
+    """Raised by the fit when the projection cannot reach a feasible point:
+    eta and M leave no room for k units."""
+
+
+def _projection_error(k: int, d: int, box: ConstraintBox) -> ProjectionError:
+    return ProjectionError(
+        f"projection failed: eta={box.eta} and M={box.M} are mutually "
+        f"inconsistent for k={k}, d={d}"
+    )
+
+
 _ARMIJO = 1e-4
 _MEMORY = 10
 # trial steps after the first of the quasi-Newton search, and those of the
@@ -213,33 +219,37 @@ def _optimize_single(
     f_trace), f_trace the objective at the start and at every accepted
     step.
 
-    The Armijo search halves the step along the projected arc, up to 40
-    steps, then falls back to up to 60 halved steps of projected steepest
-    descent. Each iteration projects the projected-gradient test's row
-    and the first trial step in one call; when the first step fails, the
-    other 39 go in one call, and the fallback's 60 in another. The loss
-    is evaluated at trial points, and the gradient only at the accepted
-    one, from the loss's intermediate arrays.
+    Each pass tests stationarity first; after max_iters steps, or a step
+    shorter than step_tol, one more pass makes only that test. The Armijo
+    search halves the step along the projected arc, up to 40 steps, then
+    falls back to up to 60 halved steps of projected steepest descent.
+    Each pass projects the stationarity test's row and the first trial
+    step in one call; when the first step fails, the other 39 go in one
+    call, and the fallback's 60 in another. The loss is evaluated at
+    trial points, and the gradient only at the accepted one, from the
+    loss's intermediate arrays.
     """
-    vec = project_vector(np.asarray(vec0, dtype=float), k, d, box)
+    vec = project_vector(np.asarray(vec0, dtype=float)[None], k, d, box)[0]
+    if vec[0] != vec[0]:
+        raise _projection_error(k, d, box)
     f, P, r = negloss(vec, Xa, y, sigma2, k, d)
     g = negloss_grad(vec, Xa, P, r, sigma2, k)
     trace = [f]
-    S: list[np.ndarray] = []
-    Y: list[np.ndarray] = []
-    rho: list[float] = []
-    for it in range(config.max_iters):
+    pairs = deque(maxlen=_MEMORY)  # L-BFGS (s, y, 1/s.y), oldest first
+    small_step = False
+    for it in range(config.max_iters + 1):
         # two-loop recursion; .dot calls the BLAS dot that @ calls on these
         # short vectors, with less dispatch
         q = g.copy()
         alphas = []
-        for s_, y_, r_ in zip(reversed(S), reversed(Y), reversed(rho)):
+        for s_, y_, r_ in reversed(pairs):
             a_ = r_ * s_.dot(q)
             alphas.append(a_)
             q -= a_ * y_
-        if Y:
-            q *= S[-1].dot(Y[-1]) / Y[-1].dot(Y[-1])
-        for (s_, y_, r_), a_ in zip(zip(S, Y, rho), reversed(alphas)):
+        if pairs:
+            s_, y_, _ = pairs[-1]
+            q *= s_.dot(y_) / y_.dot(y_)
+        for (s_, y_, r_), a_ in zip(pairs, reversed(alphas)):
             q += (a_ - r_ * y_.dot(q)) * s_
         direction = -q
 
@@ -249,6 +259,8 @@ def _optimize_single(
         pg = vec - head[0]
         if np.abs(pg).max() <= config.grad_tol:
             return vec, f, True, it, trace
+        if small_step or it == config.max_iters:
+            return vec, f, False, it, trace
 
         found = _first_accepted(head[1:], vec, f, g, Xa, y, sigma2, k, d, box, True)
         if found is None:
@@ -268,19 +280,10 @@ def _optimize_single(
         sy = float(s_vec.dot(y_vec))
         s_norm = _norm(s_vec)
         if sy > 1e-10 * s_norm * _norm(y_vec):
-            S.append(s_vec)
-            Y.append(y_vec)
-            rho.append(1.0 / sy)
-            if len(S) > _MEMORY:
-                S.pop(0)
-                Y.pop(0)
-                rho.pop(0)
+            pairs.append((s_vec, y_vec, 1.0 / sy))
         vec, f, g = cand, fc, gc
         trace.append(f)
-        if s_norm <= config.step_tol:
-            break
-    pg = vec - project_vector(vec - g, k, d, box)
-    return vec, f, bool(np.abs(pg).max() <= config.grad_tol), len(trace) - 1, trace
+        small_step = s_norm <= config.step_tol
 
 
 def fit_mle(

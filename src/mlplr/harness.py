@@ -4,8 +4,9 @@ width selection frequencies, and comparison against the simulated limit."""
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .limit_law import (
     gram_matrix_gh,
     simulate_limit,
 )
-from .model import ConstraintBox, RegressionSpec, draw_inputs, generate_dataset, mlp_forward_batch, stable_hash
+from .model import ConstraintBox, RegressionSpec, draw_inputs, from_config, generate_dataset, mlp_forward_batch, stable_hash
 from .selection import PenaltySchedule, penalty_value, select_width
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,10 @@ def summarize(sample, reference=None) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 @dataclass
 class ExperimentConfig:
     spec: RegressionSpec
@@ -107,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("widths must be at least 1 and sample sizes at least 2")
         if self.replicates < 1 or self.limit_draws < 0:
             raise ValueError("replicates must be at least 1 and limit_draws non-negative")
+        if self.noise_sigma2 is not None and not 0 <= self.noise_sigma2 < math.inf:
+            raise ValueError("noise_sigma2 must be non-negative and finite")
 
     def to_dict(self) -> dict:
         return {
@@ -124,19 +131,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if unknown := set(d) - {f.name for f in fields(cls)}:
-            raise ValueError(f"unknown ExperimentConfig keys {sorted(unknown)}")
-        return cls(
-            spec=RegressionSpec.from_dict(d["spec"]),
-            box=ConstraintBox.from_dict(d["box"]),
-            fit=FitConfig.from_dict(d["fit"]),
-            schedule=PenaltySchedule.from_dict(d["schedule"]),
-            n_grid=[int(v) for v in d["n_grid"]],
-            k_grid=[int(v) for v in d["k_grid"]],
-            replicates=int(d["replicates"]),
-            base_seed=int(d["base_seed"]),
-            limit_draws=int(d.get("limit_draws", 0)),
-            noise_sigma2=(None if d.get("noise_sigma2") is None else float(d["noise_sigma2"])),
+        return from_config(
+            cls, d, spec=RegressionSpec.from_dict, box=ConstraintBox.from_dict, fit=FitConfig.from_dict,
+            schedule=PenaltySchedule.from_dict, n_grid=_ints, k_grid=_ints, replicates=int, base_seed=int,
+            limit_draws=int, noise_sigma2=lambda v: None if v is None else float(v),
         )
 
     def hash(self) -> str:

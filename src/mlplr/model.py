@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,15 @@ def stable_hash(payload: dict) -> str:
     """Short reproducibility hash of a JSON-serializable configuration."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def from_config(cls, d: dict, **converters):
+    """Build the dataclass cls from d, its to_dict form read from JSON: a
+    key that names no field is a ValueError, an absent key takes the
+    field's default, and converters[name] maps the value of field name."""
+    if unknown := set(d) - {f.name for f in fields(cls)}:
+        raise ValueError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+    return cls(**{key: converters[key](value) if key in converters else value for key, value in d.items()})
 
 # ---------------------------------------------------------------------------
 # Transfer function
@@ -136,10 +145,7 @@ class MlpParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpParams":
-        return cls(
-            float(d["beta"]),
-            [HiddenUnit(float(u["a"]), np.asarray(u["w"], dtype=float)) for u in d["units"]],
-        )
+        return from_config(cls, d, beta=float, units=lambda us: [from_config(HiddenUnit, u, a=float) for u in us])
 
 
 def augment(x: np.ndarray) -> np.ndarray:
@@ -190,11 +196,7 @@ class ConstraintBox:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintBox":
-        return cls(float(d["eta"]), float(d["M"]), bool(d["positive_amplitudes"]))
-
-
-class ProjectionError(ValueError):
-    """Raised when the two-stage projection cannot reach a feasible point."""
+        return from_config(cls, d, eta=float, M=float, positive_amplitudes=bool)
 
 
 # nudge keeps pushed-out norms >= eta despite floating point rounding
@@ -284,16 +286,9 @@ def _rescale(base: np.ndarray, factors: np.ndarray, take: np.ndarray, done: np.n
     done |= take
 
 
-def _projection_error(k: int, d: int, box: ConstraintBox) -> ProjectionError:
-    return ProjectionError(
-        f"projection failed: eta={box.eta} and M={box.M} are mutually "
-        f"inconsistent for k={k}, d={d}"
-    )
-
-
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
-    """Map a flattened parameter vector, or each row of an (R, p) stack of
-    them, into the feasible set (the optimizer's hot path).
+    """Map each row of an (R, p) stack of flattened parameter vectors into
+    the feasible set (the optimizer's hot path).
 
     The projection has two stages. Stage one clamps the amplitudes and
     pushes each w_i radially out to norm eta (a zero w_i goes to eta times
@@ -305,19 +300,14 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
     its sphere. This is a heuristic map onto the feasible set, not the
     Euclidean projection.
 
-    A stack is mapped row by row with the bits a 1-D call gives each row;
-    the branches are masks over the rows. The result is a new (R, p)
-    array, in which a row that cannot be mapped is NaN, so a row the
-    caller never reads cannot fail the call. A 1-D vector is one row: a
-    feasible one is returned as the same object, any other result is a
-    new array, and ProjectionError means eta and M leave no room for k
-    units. The input is never written.
+    Each row is mapped on its own; the branches are masks over the rows.
+    The result is a new (R, p) array, in which a row that cannot be
+    mapped is NaN, so a row the caller never reads cannot fail the call.
+    When eta and M leave no room for k units, every row is NaN. The input
+    is never written.
     """
-    V = vec.reshape(-1, vec.shape[-1])
-    done, lower, nrm, norms = _bounds(V, k, d, box)
-    if vec.ndim == 1 and done[0]:
-        return vec
-    base = V.copy()
+    done, lower, nrm, norms = _bounds(vec, k, d, box)
+    base = vec.copy()
     if np.logical_and.reduce(done):
         return base
     if not np.logical_and.reduce(lower):
@@ -335,10 +325,6 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
     slack2 = box.M**2 - 2 * k * box.eta**2
     if slack2 > 0 and not np.logical_and.reduce(done):
         _rescale(base, math.sqrt(slack2) / nrm, ~done, done, k, d, box)
-    if vec.ndim == 1:
-        if not done[0]:
-            raise _projection_error(k, d, box)
-        return base[0]
     if not np.logical_and.reduce(done):
         base[~done] = np.nan
     return base
@@ -365,8 +351,8 @@ class RegressionSpec:
             raise ValueError(
                 f"theta0 expects input_dim={self.theta0.input_dim}, spec says {self.input_dim}"
             )
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        if not 0 <= self.sigma2 < math.inf:  # NaN fails every comparison
+            raise ValueError("sigma2 must be non-negative and finite")
         if self.input_law not in INPUT_LAWS:
             raise ValueError(f"unknown input law {self.input_law!r}; choose from {INPUT_LAWS}")
 
@@ -384,12 +370,7 @@ class RegressionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionSpec":
-        return cls(
-            MlpParams.from_dict(d["theta0"]),
-            float(d["sigma2"]),
-            int(d["input_dim"]),
-            str(d.get("input_law", "standard_normal")),
-        )
+        return from_config(cls, d, theta0=MlpParams.from_dict, sigma2=float, input_dim=int, input_law=str)
 
 
 def draw_inputs(spec: RegressionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -414,6 +395,8 @@ class Dataset:
             raise ValueError(f"inconsistent shapes: x {self.x.shape}, y {self.y.shape}")
         if self.n < 1:
             raise ValueError("a dataset needs at least one row")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("x and y must be finite")
 
     @property
     def n(self) -> int:
@@ -458,6 +441,8 @@ def generate_dataset(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if noise_sigma2 is not None and not 0 <= noise_sigma2 < math.inf:
+        raise ValueError("noise_sigma2 must be non-negative and finite")
     rng = np.random.default_rng(seed)
     X = draw_inputs(spec, n, rng)
     s2 = spec.sigma2 if noise_sigma2 is None else noise_sigma2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FitConfig, profile_lr_curve
-from .model import ConstraintBox, Dataset
+from .model import ConstraintBox, Dataset, from_config
 
 SCHEDULE_KINDS = ("bic_like", "zero")
 
@@ -44,7 +44,7 @@ class PenaltySchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PenaltySchedule":
-        return cls(kind=str(d["kind"]), input_dim=d.get("input_dim"))
+        return from_config(cls, d, kind=str)
 
 
 def penalty_value(schedule: PenaltySchedule, n: int, k: int) -> float:

@@ -108,6 +108,21 @@ class TestGenFitLr:
         assert code == 2
         assert not (workdir / "out.json").exists()
 
+    def test_misspelled_spec_key_is_config_error(self, workdir, desk_spec):
+        """input_lw for input_law is rejected, not run with standard-normal
+        inputs."""
+        (workdir / "bad_spec.json").write_text(json.dumps({**desk_spec.to_dict(), "input_lw": "laplace"}))
+        code = run(["gen", "--spec", workdir / "bad_spec.json", "--n", 10, "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "data.csv").exists()
+
+    def test_non_finite_dataset_is_config_error(self, workdir):
+        (workdir / "data.csv").write_text("x1,y\n0.1,nan\n0.2,1.0\n0.3,0.5\n")
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
+
     def test_missing_dataset_is_config_error(self, workdir):
         code = run(["fit", "--data", workdir / "missing.csv", "--k", 1, "--box", workdir / "box.json",
                     "--out-dir", workdir])
@@ -237,8 +252,9 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"k_grid": [0, 2]}, {"n_grid": [1]}, {"limit_draws": -1}, {"replicate": 2}, {"fit": {"max_iter": 5}}],
-        ids=["width_0", "n_1", "negative_limit_draws", "unknown_key", "unknown_fit_key"],
+        [{"k_grid": [0, 2]}, {"n_grid": [1]}, {"limit_draws": -1}, {"replicate": 2}, {"fit": {"max_iter": 5}},
+         {"noise_sigma2": -1.0}],
+        ids=["width_0", "n_1", "negative_limit_draws", "unknown_key", "unknown_fit_key", "negative_noise_sigma2"],
     )
     def test_bad_grid_or_key_is_exit_2(self, workdir, desk_spec, desk_box, bad):
         config = {

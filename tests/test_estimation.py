@@ -9,6 +9,7 @@ from mlplr import (
     FitConfig,
     HiddenUnit,
     MlpParams,
+    ProjectionError,
     RegressionSpec,
     conditional_loglik,
     fit_mle,
@@ -136,7 +137,7 @@ class TestFitMle:
         assert fit.converged
         vec = fit.theta_hat.flatten()
         _, grad = negloss_and_grad(vec, augment(data.x), data.y, data.sigma2, 1, 1)
-        pg = vec - project_vector(vec - grad, 1, 1, desk_box)
+        pg = vec - project_vector((vec - grad)[None], 1, 1, desk_box)[0]
         assert np.max(np.abs(pg)) <= cfg.grad_tol
 
     def test_reports_start_bookkeeping(self, desk_spec, desk_box):
@@ -265,8 +266,8 @@ class TestProfileCurve:
 
 # Frozen copy of the optimizer, and of the objective it called, as they were
 # before the fit took the gradient only at accepted points and projected
-# each search's trial steps in one call. It projects one vector per call
-# with project_vector, whose 1-D path TestProjectionMatchesFrozenCopy
+# each search's trial steps in one call. It projects one vector per call,
+# as a one-row stack, whose bits TestProjectionMatchesFrozenCopy
 # (test_model.py) holds to its own frozen copy; _optimize_single must
 # return the same bits.
 def _frozen_negloss_and_grad(vec, Xa, y, sigma2, k, d):
@@ -289,6 +290,12 @@ def _frozen_norm(v):
 
 
 def _frozen_optimize_single(vec0, Xa, y, sigma2, k, d, box, config):
+    def project_vector(vec, k, d, box):  # one vector, as the fit once projected it
+        out = mlplr.model.project_vector(vec[None], k, d, box)[0]
+        if np.isnan(out).any():
+            raise ProjectionError("projection failed")
+        return out
+
     vec = project_vector(np.asarray(vec0, dtype=float), k, d, box)
     f, g = _frozen_negloss_and_grad(vec, Xa, y, sigma2, k, d)
     trace = [f]
@@ -363,6 +370,7 @@ class TestOptimizerMatchesFrozenCopy:
         "stops_at_iteration_0": (FitConfig(n_starts=1, grad_tol=1e6), 0),
         "small_step": (FitConfig(n_starts=1, step_tol=1e3), 1),
         "max_iters": (FitConfig(n_starts=1, max_iters=4), 4),
+        "no_iterations": (FitConfig(n_starts=1, max_iters=0), 0),
     }
 
     @pytest.mark.parametrize("positive", [True, False])
@@ -373,7 +381,7 @@ class TestOptimizerMatchesFrozenCopy:
         project = mlplr.estimation.project_vector
 
         def recorded(vec, *args):
-            stacks.append(len(vec) if vec.ndim == 2 else 1)
+            stacks.append(len(vec))
             return project(vec, *args)
 
         monkeypatch.setattr(mlplr.estimation, "project_vector", recorded)

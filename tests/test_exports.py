@@ -11,7 +11,10 @@ read by position.
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,22 @@ def test_hooked_functions_keep_their_positional_layout(dotted, leading):
     params = list(inspect.signature(obj).parameters.values())[: len(leading)]
     assert [p.name for p in params] == leading
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def _perfbench_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look themselves up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_sizes_match_the_reference(name):
+    """The benchmark compares a run with perfbench/reference.json only when
+    the workload's sizes, FitConfig.to_dict() among them, equal the
+    recorded ones; otherwise it skips the comparison instead of failing."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert json.loads(json.dumps(WORKLOADS[name]().sizes())) == reference["workloads"][name]["sizes"]

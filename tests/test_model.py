@@ -7,10 +7,13 @@ import pytest
 from mlplr import (
     ConstraintBox,
     Dataset,
+    FitConfig,
     HiddenUnit,
     MlpParams,
+    PenaltySchedule,
     ProjectionError,
     RegressionSpec,
+    fit_mle,
     generate_dataset,
     mlp_forward_batch,
     transfer_eval,
@@ -38,7 +41,8 @@ def _feasible(theta: MlpParams, box: ConstraintBox) -> bool:
 
 
 def _project(theta: MlpParams, box: ConstraintBox) -> MlpParams:
-    return MlpParams.unflatten(project_vector(theta.flatten(), theta.k, theta.input_dim, box), theta.k, theta.input_dim)
+    out = project_vector(theta.flatten()[None], theta.k, theta.input_dim, box)[0]
+    return MlpParams.unflatten(out, theta.k, theta.input_dim)
 
 
 class TestTransferFunction:
@@ -181,7 +185,7 @@ class TestConstraints:
 class TestProjection:
     def test_feasible_point_unchanged(self, desk_spec, desk_box):
         vec = desk_spec.theta0.flatten()
-        assert project_vector(vec, 1, 1, desk_box) is vec
+        assert project_vector(vec[None], 1, 1, desk_box).tobytes() == vec.tobytes()
 
     def test_zero_weight_direction_rule(self, desk_box):
         theta = MlpParams(0.0, [HiddenUnit(1.0, np.zeros(2))])
@@ -223,8 +227,7 @@ class TestProjection:
         # M barely above eta cannot host two units pushed out to eta
         box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
         theta = MlpParams(0.0, [HiddenUnit(0.0, np.zeros(2)), HiddenUnit(0.0, np.zeros(2))])
-        with pytest.raises(ProjectionError):
-            _project(theta, box)
+        assert np.isnan(_project(theta, box).flatten()).all()
 
 
 # Frozen copy of the projection as it was before its norms and bound checks
@@ -308,6 +311,9 @@ def _branch_case(branch, k, d, box, rng):
 
 
 class TestProjectionMatchesFrozenCopy:
+    """A one-row stack, the form the fit projects its start in, gets the
+    frozen copy's bits on every branch."""
+
     @pytest.mark.parametrize("positive", [True, False])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("branch", _BRANCHES)
@@ -316,28 +322,25 @@ class TestProjectionMatchesFrozenCopy:
         rng = np.random.default_rng([d, int(positive), _BRANCHES.index(branch)])
         for trial in range(40):
             k = 1 + trial % 3
-            vec = _branch_case(branch, k, d, box, rng)
-            before = vec.copy()
-            ref = _frozen_project(vec.copy(), k, d, box)
-            out = project_vector(vec, k, d, box)
-            assert out.tobytes() == ref.tobytes()
-            assert vec.tobytes() == before.tobytes()  # the input is never written
-            assert _in_box(out, k, d, box)
-            if branch == "feasible":
-                assert out is vec  # the traced benchmark counts no-ops by identity
-            else:
-                assert out is not vec
+            stack = _branch_case(branch, k, d, box, rng)[None]
+            before = stack.copy()
+            ref = _frozen_project(stack[0].copy(), k, d, box)
+            out = project_vector(stack, k, d, box)
+            assert out.shape == stack.shape and out.tobytes() == ref.tobytes()
+            assert stack.tobytes() == before.tobytes()  # the input is never written
+            assert _in_box(out[0], k, d, box)
             if branch == "slack2":
                 # the fallback aims at sqrt(M^2 - 2k eta^2), well inside the ball
-                assert np.linalg.norm(out) < box.M * (1 - 1e-6)
+                assert np.linalg.norm(out[0]) < box.M * (1 - 1e-6)
 
-    def test_infeasible_box_raises_like_the_frozen_copy(self):
+    def test_infeasible_box_raises_like_the_frozen_copy(self, desk_spec):
+        """Where the frozen copy raises, the fit raises ProjectionError."""
         box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
-        vec = np.zeros(7)
         with pytest.raises(ProjectionError):
-            _frozen_project(vec.copy(), 2, 1, box)
-        with pytest.raises(ProjectionError):
-            project_vector(vec, 2, 1, box)
+            _frozen_project(np.zeros(7), 2, 1, box)
+        data = generate_dataset(desk_spec, 20, seed=1)
+        with pytest.raises(ProjectionError, match="mutually inconsistent for k=2, d=1"):
+            fit_mle(data, 2, box, FitConfig(n_starts=1))
 
 
 class TestStackedProjection:
@@ -368,8 +371,6 @@ class TestStackedProjection:
         assert np.isnan(out[3]).all()
         for row, vec in zip(np.delete(out, 3, axis=0), good):
             assert row.tobytes() == _frozen_project(vec.copy(), 2, 1, desk_box).tobytes()
-        with pytest.raises(ProjectionError):
-            project_vector(stack[3], 2, 1, desk_box)
 
     def test_infeasible_box_marks_every_row(self):
         box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
@@ -429,3 +430,51 @@ class TestDataset:
 
     def test_box_json_round_trip(self, desk_box):
         assert ConstraintBox.from_dict(desk_box.to_dict()).to_dict() == desk_box.to_dict()
+
+    @pytest.mark.parametrize(
+        "x, y", [([[np.nan]], [0.0]), ([[0.0]], [np.inf]), ([[-np.inf]], [1.0])], ids=["nan_x", "inf_y", "minus_inf_x"]
+    )
+    def test_rejects_non_finite_data(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array(x), np.array(y), 1.0)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_variances(self, desk_spec, value):
+        with pytest.raises(ValueError, match="sigma2 must be non-negative and finite"):
+            RegressionSpec(desk_spec.theta0, sigma2=value, input_dim=1)
+        with pytest.raises(ValueError, match="noise_sigma2 must be non-negative and finite"):
+            generate_dataset(desk_spec, 10, seed=0, noise_sigma2=value)
+
+
+class TestConfigReader:
+    """from_config reads every JSON config: unknown keys are errors and
+    absent keys take the dataclass default."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(n_starts=3, max_iters=7, grad_tol=1e-4, step_tol=1e-9, seed=5, init_scale=0.5,
+                      warm_starts=[MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])]),
+            PenaltySchedule("bic_like", input_dim=2),
+            PenaltySchedule("zero"),
+        ],
+        ids=["fit", "bic_like", "zero"],
+    )
+    def test_round_trip(self, config):
+        assert type(config).from_dict(config.to_dict()).to_dict() == config.to_dict()
+
+    @pytest.mark.parametrize(
+        "cls, d",
+        [
+            (ConstraintBox, {"eta": 0.1, "M": 50.0, "positive_amplitude": False}),
+            (PenaltySchedule, {"kind": "bic_like", "input_dims": 1}),
+            (MlpParams, {"beta": 0.0, "units": [{"a": 1.0, "w": [0.5, 1.0], "b": 0.0}]}),
+        ],
+        ids=["box", "schedule", "unit"],
+    )
+    def test_unknown_key_is_rejected(self, cls, d):
+        with pytest.raises(ValueError, match="unknown .* keys"):
+            cls.from_dict(d)
+
+    def test_absent_key_takes_the_default(self):
+        assert ConstraintBox.from_dict({"eta": 0.1, "M": 50}).positive_amplitudes is True
