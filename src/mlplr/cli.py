@@ -151,6 +151,8 @@ def cmd_select(args) -> int:
     cfg = _load_fit_config(args.fit_config, args.seed)
     if args.schedule is not None:
         schedule = _load(PenaltySchedule, args.schedule)
+        if schedule.input_dim not in (None, spec.input_dim):
+            raise ConfigError(f"schedule input_dim {schedule.input_dim} differs from the spec's d = {spec.input_dim}")
     else:
         schedule = PenaltySchedule("bic_like", input_dim=spec.input_dim)
     data = _load(Dataset, args.data, sigma2=spec.sigma2)
@@ -168,24 +170,18 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _build_gram(spec: RegressionSpec, args, basis: ScoreBasis | None = None):
-    seed = args.seed if args.seed is not None else 12345
-    if args.gram_mode == "gh":
-        return gram_matrix_gh(spec, basis=basis)
-    if args.gram_mode == "mc":
-        return gram_matrix(spec, args.gram_draws, seed, basis=basis)
-    return default_gram(spec, args.gram_draws, seed, basis)
-
-
 def cmd_limit(args) -> int:
     spec = _load(RegressionSpec, args.spec)
     seed = args.seed if args.seed is not None else 0
     basis = None
     if args.extended_index_set:
         box = _load(ConstraintBox, args.box) if args.box else ConstraintBox(0.1, 50.0)
-        basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
+        try:
+            basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
+        except ValueError as exc:
+            raise ConfigError(f"extended index set: {exc}") from exc
     try:
-        gram = _build_gram(spec, args, basis)
+        gram = default_gram(spec, args.gram_draws, 12345 if args.seed is None else args.seed, basis)
         sample = simulate_limit(spec, args.k, gram, args.draws, seed, extended=args.extended_index_set)
     except Exception as exc:
         raise LimitError(str(exc)) from exc
@@ -319,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--draws", type=int, default=10_000)
-    p.add_argument("--gram-mode", choices=("auto", "mc", "gh"), default="auto")
-    p.add_argument("--gram-draws", type=int, default=200_000)
+    p.add_argument("--gram-draws", type=int, default=200_000, help="Monte Carlo Gram inputs, used only at d >= 3")
     p.add_argument("--extended-index-set", action="store_true",
                    help="include free-unit phi terms on a weight grid")
     p.add_argument("--box", default=None, help="box JSON bounding the extended weight grid")
@@ -329,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-h4", parents=[common], help="linear-independence certificate")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("both", "mc", "gh"), default="both")
-    p.add_argument("--gram-draws", type=int, default=200_000)
+    p.add_argument("--mode", choices=("both", "mc", "gh"), default="both", help="gh: the quadrature Gram, d <= 2")
+    p.add_argument("--gram-draws", type=int, default=200_000, help="Monte Carlo Gram inputs (mc mode)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--save-gram", action="store_true")
     p.add_argument("--out", default="h4.json")

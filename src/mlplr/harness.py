@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1 and limit_draws non-negative")
         if self.noise_sigma2 is not None and not 0 <= self.noise_sigma2 < math.inf:
             raise ValueError("noise_sigma2 must be non-negative and finite")
+        if self.schedule.input_dim not in (None, self.spec.input_dim):
+            raise ValueError(f"schedule input_dim {self.schedule.input_dim} differs from the spec's d = {self.spec.input_dim}")
 
     def to_dict(self) -> dict:
         return {
@@ -366,9 +368,9 @@ class LimitError(RuntimeError):
 
 
 def default_gram(spec: RegressionSpec, draws: int = 200_000, seed: int = 12345, basis: ScoreBasis | None = None) -> GramMatrix:
-    """Gauss-Hermite Gram when exact quadrature applies (d = 1, standard
-    normal inputs), else a Monte Carlo Gram from draws inputs."""
-    if spec.input_dim == 1 and spec.input_law == "standard_normal":
+    """The input law's quadrature Gram at d <= 2, which no seed touches;
+    a Monte Carlo Gram from draws inputs at d >= 3."""
+    if spec.input_dim <= 2:
         return gram_matrix_gh(spec, basis=basis)
     return gram_matrix(spec, draws, seed, basis=basis)
 

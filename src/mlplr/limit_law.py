@@ -167,9 +167,9 @@ def eval_score_basis_batch(spec: RegressionSpec, X: np.ndarray, basis: ScoreBasi
     return out
 
 
-def extended_grid(box: ConstraintBox, d: int, n_angles: int = 8, radii: tuple[float, ...] = (1.0, 2.0)) -> tuple[tuple[float, ...], ...]:
-    """Fixed grid of extra weight vectors inside the box (for the
-    appendix-variant index set with free-unit phi terms)."""
+def extended_grid(box: ConstraintBox, d: int, n_angles: int = 8, radii: tuple[float, ...] = (2.0, 10.0, 45.0)) -> tuple[tuple[float, ...], ...]:
+    """Fixed grid of extra weight vectors inside the box, by default 8 x
+    (2, 10, 45), for the appendix-variant index set with free-unit phi terms."""
     dirs: list[np.ndarray] = []
     if d == 1:
         # half circle only (phi(t) + phi(-t) = 1 makes antipodal directions
@@ -252,31 +252,39 @@ def gram_matrix(
 
 
 @functools.lru_cache(maxsize=4)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights; hermgauss(129) is about
-    half the cost of a desk Gram."""
+def _axis_rule(law: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only one-axis rule of the input law: Gauss-Hermite, or for
+    Laplace inputs nodes // 2 Gauss-Laguerre nodes mirrored onto both
+    half-lines. hermgauss(129) is about half the cost of a desk Gram."""
     with np.errstate(all="ignore"):
-        rule = np.polynomial.hermite.hermgauss(nodes)
+        if law == "standard_normal":
+            pts, wts = np.polynomial.hermite.hermgauss(nodes)
+            rule = (np.sqrt(2.0) * pts, wts / np.sqrt(np.pi))
+        else:
+            pts, wts = np.polynomial.laguerre.laggauss(nodes // 2)
+            rule = (np.r_[-pts[::-1], pts] / np.sqrt(2.0), np.r_[wts[::-1], wts] / 2.0)
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
 def gram_matrix_gh(spec: RegressionSpec, nodes: int = 129, basis: ScoreBasis | None = None) -> GramMatrix:
-    """Gauss-Hermite quadrature Gram, exact cross-check for d = 1 with
-    standard normal inputs. Node counts whose nodes or weights are not
+    """Seed-free quadrature Gram for d <= 2, on the tensor product of the
+    input law's axis rule. Node counts whose nodes or weights are not
     finite (hermgauss overflows past a few hundred) are rejected."""
-    if spec.input_dim != 1 or spec.input_law != "standard_normal":
-        raise ValueError("Gauss-Hermite mode needs d = 1 and standard normal inputs")
+    d = spec.input_dim
+    if d > 2:
+        raise ValueError(f"the quadrature Gram needs d <= 2, got d = {d}; use the Monte Carlo Gram")
     if basis is None:
-        basis = ScoreBasis(spec.k0, spec.input_dim)
-    pts, wts = _hermgauss(nodes)
+        basis = ScoreBasis(spec.k0, d)
+    pts, wts = _axis_rule(spec.input_law, nodes)
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-        raise ValueError(f"Gauss-Hermite rule with nodes={nodes} has non-finite nodes or weights")
-    X = (np.sqrt(2.0) * pts)[:, None]
-    w = wts / np.sqrt(np.pi)
+        raise ValueError(f"quadrature rule with nodes={nodes} has non-finite nodes or weights")
+    X = np.stack([g.ravel() for g in np.meshgrid(*[pts] * d, indexing="ij")], axis=1)
+    w = functools.reduce(np.multiply.outer, [wts] * d).ravel()
     B = eval_score_basis_batch(spec, X, basis)
-    return _finalize_gram((B * w[:, None]).T @ B, spec, nodes, 0, basis, "gauss_hermite")
+    method = "gauss_hermite" if spec.input_law == "standard_normal" else "gauss_laguerre"
+    return _finalize_gram((B * w[:, None]).T @ B, spec, w.size, 0, basis, method)
 
 
 @dataclass

@@ -59,24 +59,20 @@ def transfer_eval(t, order: int = 0):
     t : float or ndarray
         Evaluation point(s).
     order : int
-        0 for phi, 1..3 for the first three derivatives.
+        0 for phi, 1 or 2 for its first two derivatives.
 
-    All four orders are bounded on the real line.
+    All three orders are bounded on the real line.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be in 0..2, got {order}")
     scalar = np.isscalar(t)
     s = _sigmoid(np.atleast_1d(t))
     if order == 0:
         out = s
     elif order == 1:
         out = s * (1.0 - s)
-    elif order == 2:
-        out = s * (1.0 - s) * (1.0 - 2.0 * s)
     else:
-        d1 = s * (1.0 - s)
-        d2 = d1 * (1.0 - 2.0 * s)
-        out = d2 * (1.0 - 2.0 * s) - 2.0 * d1 * d1
+        out = s * (1.0 - s) * (1.0 - 2.0 * s)
     return float(out[0]) if scalar else out
 
 
@@ -397,6 +393,8 @@ class Dataset:
             raise ValueError("a dataset needs at least one row")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("x and y must be finite")
+        if not 0 <= self.sigma2 < math.inf:  # NaN fails every comparison
+            raise ValueError("sigma2 must be non-negative and finite")
 
     @property
     def n(self) -> int:

@@ -35,6 +35,8 @@ class PenaltySchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; choose from {SCHEDULE_KINDS}")
         if self.kind == "bic_like" and self.input_dim is None:
             raise ValueError("bic_like schedule needs input_dim")
+        if self.input_dim is not None and not (isinstance(self.input_dim, int) and self.input_dim >= 1):
+            raise ValueError(f"input_dim must be an int >= 1, got {self.input_dim!r}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

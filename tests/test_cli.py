@@ -123,6 +123,15 @@ class TestGenFitLr:
         assert code == 2
         assert not (workdir / "out.json").exists()
 
+    @pytest.mark.parametrize("sigma2", ["nan", "inf", "-1"])
+    def test_bad_dataset_sigma2_is_config_error(self, workdir, sigma2):
+        """nan used to exit 3 blaming the box, inf to fit to loglik=-inf."""
+        (workdir / "data.csv").write_text("x1,y\n0.1,0.2\n0.2,1.0\n0.3,0.5\n")
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    f"--sigma2={sigma2}", "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
+
     def test_missing_dataset_is_config_error(self, workdir):
         code = run(["fit", "--data", workdir / "missing.csv", "--k", 1, "--box", workdir / "box.json",
                     "--out-dir", workdir])
@@ -176,6 +185,41 @@ class TestSelectAndLimit:
             assert lines[1] == "value,best_partition,path"
             paths = {line.rsplit(",", 1)[1] for line in lines[2:]}
             assert paths and "search" not in paths, k
+
+    def test_gram_mode_is_gone(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            run(["limit", "--spec", workdir / "spec.json", "--k", 1, "--gram-mode", "mc", "--out-dir", workdir])
+        assert exc.value.code == 2
+
+    def test_extended_grid_outside_box_is_config_error(self, workdir):
+        (workdir / "small_box.json").write_text(json.dumps({"eta": 0.1, "M": 1.5}))
+        code = run(["limit", "--spec", workdir / "spec.json", "--k", 2, "--draws", 10, "--extended-index-set",
+                    "--box", workdir / "small_box.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "limit.csv").exists()
+
+    def test_check_h4_defaults_on_d2_laplace(self, workdir):
+        """Both modes run at d = 2 with Laplace inputs: the quadrature Gram
+        takes the input law's rule, and passes the certificate."""
+        units = [{"a": 1.0, "w": [0.5, 1.0, -0.5]}, {"a": 1.5, "w": [-0.3, 0.2, 1.2]}]
+        spec = {"theta0": {"beta": 0.5, "units": units}, "sigma2": 1.0, "input_dim": 2, "input_law": "laplace"}
+        (workdir / "wide.json").write_text(json.dumps(spec))
+        assert run(["check-h4", "--spec", workdir / "wide.json", "--out-dir", workdir]) == 0
+        reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert set(reports) == {"mc", "gh"} and reports["gh"]["passed"]
+
+    @pytest.mark.parametrize("input_dim", [5, "1"])
+    def test_schedule_input_dim_must_match_spec(self, workdir, input_dim):
+        """input_dim 5 on d = 1 data used to double the BIC penalty."""
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "schedule.json").write_text(json.dumps({"kind": "bic_like", "input_dim": input_dim}))
+        code = run(
+            ["select", "--data", workdir / "data.csv", "--spec", workdir / "spec.json",
+             "--box", workdir / "box.json", "--k-max", 2, "--schedule", workdir / "schedule.json",
+             "--out", "select.json", "--out-dir", workdir]
+        )
+        assert code == 2
+        assert not (workdir / "select.json").exists()
 
     def test_invalid_schedule_is_config_error(self, workdir):
         run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
@@ -253,8 +297,10 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "bad",
         [{"k_grid": [0, 2]}, {"n_grid": [1]}, {"limit_draws": -1}, {"replicate": 2}, {"fit": {"max_iter": 5}},
-         {"noise_sigma2": -1.0}],
-        ids=["width_0", "n_1", "negative_limit_draws", "unknown_key", "unknown_fit_key", "negative_noise_sigma2"],
+         {"noise_sigma2": -1.0}, {"schedule": {"kind": "bic_like", "input_dim": 5}},
+         {"schedule": {"kind": "bic_like", "input_dim": "1"}}],
+        ids=["width_0", "n_1", "negative_limit_draws", "unknown_key", "unknown_fit_key", "negative_noise_sigma2",
+             "schedule_input_dim_5", "schedule_input_dim_str"],
     )
     def test_bad_grid_or_key_is_exit_2(self, workdir, desk_spec, desk_box, bad):
         config = {

@@ -343,11 +343,41 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="nodes"):
             gram_matrix_gh(desk_spec, nodes=400)
 
-    def test_gh_requires_gaussian_1d(self):
-        theta0 = MlpParams(0.0, [HiddenUnit(1.0, np.array([0.0, 1.0, 1.0]))])
-        spec = RegressionSpec(theta0, sigma2=1.0, input_dim=2)
-        with pytest.raises(ValueError):
+    def test_gh_rejects_d3(self):
+        theta0 = MlpParams(0.0, [HiddenUnit(1.0, np.array([0.0, 1.0, 1.0, -1.0]))])
+        spec = RegressionSpec(theta0, sigma2=1.0, input_dim=3)
+        with pytest.raises(ValueError, match="d <= 2"):
             gram_matrix_gh(spec)
+
+    @pytest.mark.parametrize("law", ["standard_normal", "laplace"])
+    def test_gh_matches_mc_at_d2(self, law):
+        """The tensor-product rule agrees with a 200k-draw Monte Carlo Gram
+        within 4 standard errors per entry; the errors come from the same
+        draws, so a zero-variance entry (the constant's) must match exactly."""
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
+        spec = RegressionSpec(MlpParams(0.5, units), sigma2=1.0, input_dim=2, input_law=law)
+        n = 200_000
+        quad = gram_matrix_gh(spec)
+        mc = gram_matrix(spec, n, seed=11).x_gram
+        from mlplr.model import draw_inputs
+
+        B = eval_score_basis_batch(spec, draw_inputs(spec, n, np.random.default_rng(11)))
+        np.testing.assert_allclose(B.T @ B / n, mc, rtol=1e-12, atol=1e-12)  # the same draws
+        se = np.sqrt(np.maximum((B * B).T @ (B * B) / n - mc * mc, 0.0) / n)
+        assert quad.mc_draws == (129 if law == "standard_normal" else 128) ** 2
+        assert np.all(np.abs(quad.x_gram - mc) <= 4 * se + 1e-12)
+
+    def test_desk_x_gram_bits(self, desk_spec, desk_box):
+        """The desk Grams the benchmark's limit draws rest on, core and over
+        the extended 8 x (2, 10, 45) grid, keep their bits."""
+        core = gram_matrix_gh(desk_spec).x_gram
+        ext = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1))).x_gram
+        assert hashlib.sha256(core.tobytes()).hexdigest() == (
+            "029044ed2509bfbbb9b0aab97b3b3aeebcc643c8627bb19f969c8c31bc3d04e0"
+        )
+        assert hashlib.sha256(ext.tobytes()).hexdigest() == (
+            "ec7eef85207ded15df366575d74922bd583b207f4985f26668b23dae1cb1ebbc"
+        )
 
     def test_save_load_round_trip(self, desk_spec, tmp_path):
         gram = gram_matrix_gh(desk_spec)

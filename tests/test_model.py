@@ -58,7 +58,7 @@ class TestTransferFunction:
         np.testing.assert_allclose(transfer_eval(t, 1), s * (1 - s), atol=1e-12)
         np.testing.assert_allclose(transfer_eval(t, 2), transfer_eval(t, 1) * (1 - 2 * s), atol=1e-12)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2])
     def test_matches_finite_differences(self, order):
         """Each derivative agrees with central differences of one order lower."""
         t = np.linspace(-10.0, 10.0, 401)
@@ -70,7 +70,7 @@ class TestTransferFunction:
     def test_bounded_and_stable_at_extremes(self):
         """No overflow for huge |t|; all orders stay bounded."""
         t = np.array([-1e4, -500.0, -36.0, 36.0, 500.0, 1e4])
-        for order in range(4):
+        for order in range(3):
             vals = transfer_eval(t, order)
             assert np.all(np.isfinite(vals))
             assert np.all(np.abs(vals) <= 1.0)
@@ -94,7 +94,7 @@ class TestTransferFunction:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            transfer_eval(0.0, 4)
+            transfer_eval(0.0, 3)
 
 
 class TestMlpParams:
@@ -444,6 +444,8 @@ class TestDataset:
             RegressionSpec(desk_spec.theta0, sigma2=value, input_dim=1)
         with pytest.raises(ValueError, match="noise_sigma2 must be non-negative and finite"):
             generate_dataset(desk_spec, 10, seed=0, noise_sigma2=value)
+        with pytest.raises(ValueError, match="sigma2 must be non-negative and finite"):
+            Dataset(np.zeros((2, 1)), np.zeros(2), value)
 
 
 class TestConfigReader:

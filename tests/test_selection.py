@@ -43,6 +43,14 @@ class TestPenaltyValue:
         with pytest.raises(ValueError):
             PenaltySchedule("nonsense")
 
+    @pytest.mark.parametrize("bad", ["1", 1.0, 0, None])
+    def test_input_dim_must_be_a_positive_int(self, bad):
+        """A string input_dim used to load and then fail inside the fit."""
+        with pytest.raises(ValueError, match="input_dim"):
+            PenaltySchedule("bic_like", input_dim=bad)
+        with pytest.raises(ValueError, match="input_dim"):
+            PenaltySchedule.from_dict({"kind": "bic_like", "input_dim": bad})
+
 
 class TestValidateSchedule:
     """The consistency conditions on a schedule, probed on a sampled n
