@@ -1,10 +1,14 @@
 """Command-line harness.
 
 Subcommands: gen, fit, lr, select, limit, check-h4, gradcheck, experiment.
+limit, check-h4 and experiment all take the spec's one Gram
+(harness.default_gram): the quadrature Gram at d <= 2, a fixed-seed
+Monte Carlo Gram at d >= 3. --seed seeds draws, never that Gram.
 Exit codes:
   0  success;
   2  a configuration input (spec, box, fit config, schedule, dataset or
-     experiment config) cannot be read, parsed or validated;
+     experiment config) cannot be read, parsed or validated, or an
+     option comes without the one it needs;
   3  a fit failed; for experiment, a replicate cell failed or the run
      failed outside its limit-law stage;
   4  the limit law failed: its Gram, certificate or simulation (limit,
@@ -17,9 +21,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .estimation import FitConfig, fit_mle
 from .harness import (
+    GRAM_DRAWS,
+    GRAM_SEED,
     ExperimentConfig,
     LimitError,
     default_gram,
@@ -32,7 +39,6 @@ from .limit_law import (
     check_h4,
     extended_grid,
     gram_matrix,
-    gram_matrix_gh,
     save_gram,
     simulate_limit,
     ScoreBasis,
@@ -180,8 +186,10 @@ def cmd_limit(args) -> int:
             basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
         except ValueError as exc:
             raise ConfigError(f"extended index set: {exc}") from exc
+    elif args.box is not None:
+        raise ConfigError("--box bounds the extended weight grid and needs --extended-index-set")
     try:
-        gram = default_gram(spec, args.gram_draws, 12345 if args.seed is None else args.seed, basis)
+        gram = default_gram(spec, basis)
         sample = simulate_limit(spec, args.k, gram, args.draws, seed, extended=args.extended_index_set)
     except Exception as exc:
         raise LimitError(str(exc)) from exc
@@ -197,37 +205,24 @@ def cmd_limit(args) -> int:
 
 def cmd_check_h4(args) -> int:
     spec = _load(RegressionSpec, args.spec)
-    seed = args.seed if args.seed is not None else 12345
-    reports = {}
-    modes = ["mc", "gh"] if args.mode == "both" else [args.mode]
     try:
-        for mode in modes:
-            if mode == "gh":
-                gram = gram_matrix_gh(spec)
-            else:
-                gram = gram_matrix(spec, args.gram_draws, seed)
-            rep = check_h4(gram, tol=args.tol)
-            reports[mode] = {
-                "min_eigenvalue": rep.min_eigenvalue,
-                "raw_min_eigenvalue": rep.raw_min_eigenvalue,
-                "passed": rep.passed,
-                "tol": rep.tol,
-            }
-            if args.save_gram:
-                save_gram(gram, _out_path(args, f"gram_{mode}"), spec)
+        gram = default_gram(spec)
+        grams = {"gram": gram}
+        if spec.input_dim <= 2:  # the quadrature Gram, cross-checked by Monte Carlo
+            grams["mc_cross_check"] = gram_matrix(spec, GRAM_DRAWS, GRAM_SEED)
+        reports = {name: {"method": g.method, **asdict(check_h4(g, tol=args.tol))} for name, g in grams.items()}
+        if args.save_gram:
+            save_gram(gram, _out_path(args, "gram"), spec)
     except Exception as exc:
         raise LimitError(str(exc)) from exc
-    payload = {
-        "config_hash": stable_hash(spec.to_dict()),
-        "seed": seed,
-        "reports": reports,
-    }
-    _write_json(_out_path(args, args.out), payload)
-    for mode, rep in reports.items():
+    _write_json(_out_path(args, args.out), {"config_hash": stable_hash(spec.to_dict()), "reports": reports})
+    for name, rep in reports.items():
         print(
-            f"[{mode}] min eigenvalue (scaled) = {rep['min_eigenvalue']:.3e} "
+            f"[{name}: {rep['method']}] min eigenvalue (scaled) = {rep['min_eigenvalue']:.3e} "
             f"(raw {rep['raw_min_eigenvalue']:.3e}) -> {'PASS' if rep['passed'] else 'FAIL'}"
         )
+    if not reports["gram"]["passed"]:  # the cross-check's verdict leaves the exit code alone
+        raise LimitError("the spec's Gram fails the linear-independence certificate")
     return EXIT_OK
 
 
@@ -269,20 +264,20 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    common.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
     common.add_argument("--out-dir", default=".", help="directory for output files")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the configured seed")
 
     parser = argparse.ArgumentParser(prog="mlplr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="draw a dataset from a true-model spec")
+    p = sub.add_parser("gen", parents=[seeded], help="draw a dataset from a true-model spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default="data.csv")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("fit", parents=[common], help="constrained MLE at one width")
+    p = sub.add_parser("fit", parents=[seeded], help="constrained MLE at one width")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--box", required=True)
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="fit.json")
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("lr", parents=[common], help="doubled LR statistic against the true model")
+    p = sub.add_parser("lr", parents=[seeded], help="doubled LR statistic against the true model")
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--box", required=True)
@@ -301,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="lr.json")
     p.set_defaults(fn=cmd_lr)
 
-    p = sub.add_parser("select", parents=[common], help="penalized width selection")
+    p = sub.add_parser("select", parents=[seeded], help="penalized width selection")
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--box", required=True)
@@ -311,35 +306,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="select.json")
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("limit", parents=[common], help="simulate the limiting LR distribution")
+    p = sub.add_parser("limit", parents=[seeded], help="simulate the limiting LR distribution")
     p.add_argument("--spec", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--draws", type=int, default=10_000)
-    p.add_argument("--gram-draws", type=int, default=200_000, help="Monte Carlo Gram inputs, used only at d >= 3")
     p.add_argument("--extended-index-set", action="store_true",
                    help="include free-unit phi terms on a weight grid")
-    p.add_argument("--box", default=None, help="box JSON bounding the extended weight grid")
+    p.add_argument("--box", default=None, help="box JSON bounding the extended weight grid (needs --extended-index-set)")
     p.add_argument("--out", default="limit.csv")
     p.set_defaults(fn=cmd_limit)
 
-    p = sub.add_parser("check-h4", parents=[common], help="linear-independence certificate")
+    p = sub.add_parser("check-h4", parents=[common], help="linear-independence certificate of the spec's Gram")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("both", "mc", "gh"), default="both", help="gh: the quadrature Gram, d <= 2")
-    p.add_argument("--gram-draws", type=int, default=200_000, help="Monte Carlo Gram inputs (mc mode)")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--save-gram", action="store_true")
+    p.add_argument("--save-gram", action="store_true", help="write the certified Gram to gram.mat and gram.json")
     p.add_argument("--out", default="h4.json")
     p.set_defaults(fn=cmd_check_h4)
 
-    p = sub.add_parser("gradcheck", parents=[common], help="finite-difference derivative check")
+    p = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference derivative check")
     p.add_argument("--spec", required=True)
     p.add_argument("--k", type=int, default=None, help="fitted width (default k0+1)")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--out", default="gradcheck.json")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("experiment", parents=[common], help="replicated LR/selection experiment")
+    p = sub.add_parser("experiment", parents=[seeded], help="replicated LR/selection experiment")
     p.add_argument("--config", required=True)
+    p.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
     p.set_defaults(fn=cmd_experiment)
 
     return parser

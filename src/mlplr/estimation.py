@@ -61,6 +61,8 @@ class FitConfig:
             raise ValueError("tolerances must be positive and finite")
         if not math.isfinite(self.init_scale):
             raise ValueError("init_scale must be finite")
+        if not all(np.isfinite(t.flatten()).all() for t in self.warm_starts or []):
+            raise ValueError("warm starts must be finite")
 
     def to_dict(self) -> dict:
         d = {
@@ -160,14 +162,18 @@ def loglik_constant(n: int, sigma2: float) -> float:
 
 class ProjectionError(ValueError):
     """Raised by the fit when the projection cannot reach a feasible point:
-    eta and M leave no room for k units."""
+    eta and M leave no room for k units, or the point is not finite."""
 
 
 def _projection_error(k: int, d: int, box: ConstraintBox) -> ProjectionError:
-    return ProjectionError(
-        f"projection failed: eta={box.eta} and M={box.M} are mutually "
-        f"inconsistent for k={k}, d={d}"
-    )
+    # project_vector maps every finite row unless M^2 <= 2k eta^2 leaves
+    # its fallback no room
+    if box.M**2 <= 2 * k * box.eta**2:
+        return ProjectionError(
+            f"projection failed: eta={box.eta} and M={box.M} are mutually "
+            f"inconsistent for k={k}, d={d}"
+        )
+    return ProjectionError(f"projection failed: the point to project is not finite (k={k}, d={d})")
 
 
 _ARMIJO = 1e-4

@@ -367,12 +367,17 @@ class LimitError(RuntimeError):
     """The limit law failed: its Gram, certificate or simulation."""
 
 
-def default_gram(spec: RegressionSpec, draws: int = 200_000, seed: int = 12345, basis: ScoreBasis | None = None) -> GramMatrix:
-    """The input law's quadrature Gram at d <= 2, which no seed touches;
-    a Monte Carlo Gram from draws inputs at d >= 3."""
+GRAM_DRAWS = 200_000  # Monte Carlo Gram inputs at d >= 3
+GRAM_SEED = 12345
+
+
+def default_gram(spec: RegressionSpec, basis: ScoreBasis | None = None) -> GramMatrix:
+    """The spec's one Gram, which every command certifies and simulates
+    on: the input law's quadrature Gram at d <= 2, which no seed touches;
+    at d >= 3 the Monte Carlo Gram of GRAM_DRAWS inputs from GRAM_SEED."""
     if spec.input_dim <= 2:
         return gram_matrix_gh(spec, basis=basis)
-    return gram_matrix(spec, draws, seed, basis=basis)
+    return gram_matrix(spec, GRAM_DRAWS, GRAM_SEED, basis=basis)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:

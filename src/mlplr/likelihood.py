@@ -47,20 +47,19 @@ def lr_statistic(
     spec: RegressionSpec,
     data: Dataset,
     true_loglik: float | None = None,
-    tol: float = 1e-6,
 ) -> float:
     """Doubled LR statistic 2 * (sup over the feasible set - loglik at truth).
 
-    A value below -tol means the supremum reported by the caller is worse
+    A value below -1e-6 means the supremum reported by the caller is worse
     than the true parameter point, i.e. the optimizer failed upstream.
     """
     if true_loglik is None:
         true_loglik = conditional_loglik(spec.theta0, data)
     stat = 2.0 * (sup_loglik - true_loglik)
-    if stat < -tol:
+    if stat < -1e-6:
         raise ValueError(
             f"supremum {sup_loglik:.6f} is below the true-parameter likelihood "
-            f"{true_loglik:.6f} by more than tol={tol:g}; optimizer failure upstream"
+            f"{true_loglik:.6f} by more than 1e-6; optimizer failure upstream"
         )
     return float(stat)
 

@@ -251,35 +251,31 @@ def gram_matrix(
     return _finalize_gram(acc / mc_draws, spec, mc_draws, seed, basis, "mc")
 
 
-@functools.lru_cache(maxsize=4)
-def _axis_rule(law: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only one-axis rule of the input law: Gauss-Hermite, or for
-    Laplace inputs nodes // 2 Gauss-Laguerre nodes mirrored onto both
+@functools.lru_cache(maxsize=2)
+def _axis_rule(law: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only one-axis rule of the input law: 129 Gauss-Hermite nodes,
+    or for Laplace inputs 64 Gauss-Laguerre nodes mirrored onto both
     half-lines. hermgauss(129) is about half the cost of a desk Gram."""
-    with np.errstate(all="ignore"):
-        if law == "standard_normal":
-            pts, wts = np.polynomial.hermite.hermgauss(nodes)
-            rule = (np.sqrt(2.0) * pts, wts / np.sqrt(np.pi))
-        else:
-            pts, wts = np.polynomial.laguerre.laggauss(nodes // 2)
-            rule = (np.r_[-pts[::-1], pts] / np.sqrt(2.0), np.r_[wts[::-1], wts] / 2.0)
+    if law == "standard_normal":
+        pts, wts = np.polynomial.hermite.hermgauss(129)
+        rule = (np.sqrt(2.0) * pts, wts / np.sqrt(np.pi))
+    else:
+        pts, wts = np.polynomial.laguerre.laggauss(64)
+        rule = (np.r_[-pts[::-1], pts] / np.sqrt(2.0), np.r_[wts[::-1], wts] / 2.0)
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
-def gram_matrix_gh(spec: RegressionSpec, nodes: int = 129, basis: ScoreBasis | None = None) -> GramMatrix:
+def gram_matrix_gh(spec: RegressionSpec, basis: ScoreBasis | None = None) -> GramMatrix:
     """Seed-free quadrature Gram for d <= 2, on the tensor product of the
-    input law's axis rule. Node counts whose nodes or weights are not
-    finite (hermgauss overflows past a few hundred) are rejected."""
+    input law's axis rule."""
     d = spec.input_dim
     if d > 2:
         raise ValueError(f"the quadrature Gram needs d <= 2, got d = {d}; use the Monte Carlo Gram")
     if basis is None:
         basis = ScoreBasis(spec.k0, d)
-    pts, wts = _axis_rule(spec.input_law, nodes)
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-        raise ValueError(f"quadrature rule with nodes={nodes} has non-finite nodes or weights")
+    pts, wts = _axis_rule(spec.input_law)
     X = np.stack([g.ravel() for g in np.meshgrid(*[pts] * d, indexing="ij")], axis=1)
     w = functools.reduce(np.multiply.outer, [wts] * d).ravel()
     B = eval_score_basis_batch(spec, X, basis)
@@ -340,12 +336,12 @@ def save_gram(gram: GramMatrix, prefix: str, spec: RegressionSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def delta_feasible(nus: list[np.ndarray], lb: float = 1e-9) -> bool:
+def delta_feasible(nus: list[np.ndarray]) -> bool:
     """True iff strictly positive c_j exist with sum_j c_j nu_j = 0.
 
     Rescaling q_j = c_j^2 / sum c^2 then yields a probability vector with
     sum_j sqrt(q_j) nu_j = 0. Decided by a linear feasibility program with
-    c_j >= lb after normalizing the inputs; an all-zero list is feasible.
+    c_j >= 1e-9 after normalizing the inputs; an all-zero list is feasible.
     """
     if len(nus) == 0:
         raise ValueError("need at least one vector")
@@ -365,7 +361,7 @@ def delta_feasible(nus: list[np.ndarray], lb: float = 1e-9) -> bool:
         c=np.zeros(m),
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=[(lb, None)] * m,
+        bounds=[(1e-9, None)] * m,
         method="highs",
     )
     return bool(res.status == 0)
@@ -437,8 +433,6 @@ class LimitSample:
 
     values: np.ndarray
     k: int
-    k0: int
-    d: int
     best_partition: list[tuple[int, ...]] = field(default_factory=list)
     # per draw, the solver of the winning partition: "linear" (no quadratic
     # direction; extra phi columns, if any, chosen greedily), "exact_rank1"
@@ -1194,8 +1188,6 @@ def simulate_limit(
     return LimitSample(
         values=values,
         k=k,
-        k0=k0,
-        d=d,
         best_partition=[ts[i] for i in best_idx.tolist()],
         path=np.array(paths)[best_idx],
         extended=extended,

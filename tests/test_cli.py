@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import mlplr.cli
+import mlplr.harness
+from mlplr import RegressionSpec, gram_matrix
 from mlplr.cli import main
+from mlplr.harness import default_gram
 
 
 @pytest.fixture()
@@ -108,6 +112,16 @@ class TestGenFitLr:
         assert code == 2
         assert not (workdir / "out.json").exists()
 
+    def test_non_finite_warm_start_is_config_error(self, workdir):
+        """json reads NaN; the fit used to blame the box for it and exit 3."""
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        start = {"beta": float("nan"), "units": [{"a": 1.0, "w": [0.5, 1.0]}]}
+        (workdir / "bad_fit.json").write_text(json.dumps({"n_starts": 1, "warm_starts": [start]}))
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
+                    "--fit-config", workdir / "bad_fit.json", "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
+
     def test_misspelled_spec_key_is_config_error(self, workdir, desk_spec):
         """input_lw for input_law is rejected, not run with standard-normal
         inputs."""
@@ -163,13 +177,11 @@ class TestSelectAndLimit:
         vals = np.array([float(l.split(",")[0]) for l in lines[2:]])
         assert abs(vals.mean() - 4.0) < 1.0
 
-        code = run(
-            ["check-h4", "--spec", workdir / "spec.json", "--mode", "both",
-             "--gram-draws", 50000, "--out", "h4.json", "--out-dir", workdir]
-        )
+        code = run(["check-h4", "--spec", workdir / "spec.json", "--out", "h4.json", "--out-dir", workdir])
         assert code == 0
-        h4 = json.loads((workdir / "h4.json").read_text())
-        assert h4["reports"]["gh"]["passed"] and h4["reports"]["mc"]["passed"]
+        reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert reports["gram"]["method"] == "gauss_hermite" and reports["gram"]["passed"]
+        assert reports["mc_cross_check"]["method"] == "mc" and reports["mc_cross_check"]["passed"]
 
     def test_limit_extended_flag(self, workdir):
         for k in (2, 3):
@@ -186,10 +198,25 @@ class TestSelectAndLimit:
             paths = {line.rsplit(",", 1)[1] for line in lines[2:]}
             assert paths and "search" not in paths, k
 
-    def test_gram_mode_is_gone(self, workdir):
+    @pytest.mark.parametrize(
+        "args",
+        [["limit", "--k", 1, "--gram-mode", "mc"], ["limit", "--k", 1, "--gram-draws", 10],
+         ["check-h4", "--mode", "mc"], ["check-h4", "--seed", 3], ["gen", "--n", 10, "--threads", 2]],
+        ids=["limit_gram_mode", "limit_gram_draws", "check_h4_mode", "check_h4_seed", "gen_threads"],
+    )
+    def test_removed_option_is_usage_error(self, workdir, args):
+        """Each command takes the spec's one Gram, and only experiment runs
+        a process pool."""
         with pytest.raises(SystemExit) as exc:
-            run(["limit", "--spec", workdir / "spec.json", "--k", 1, "--gram-mode", "mc", "--out-dir", workdir])
+            run([*args[:1], "--spec", workdir / "spec.json", *args[1:], "--out-dir", workdir])
         assert exc.value.code == 2
+
+    def test_box_without_extended_index_set_is_config_error(self, workdir):
+        """The box bounds only the extended grid; a path never read used to pass."""
+        code = run(["limit", "--spec", workdir / "spec.json", "--k", 1, "--draws", 10,
+                    "--box", workdir / "missing_box.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "limit.csv").exists()
 
     def test_extended_grid_outside_box_is_config_error(self, workdir):
         (workdir / "small_box.json").write_text(json.dumps({"eta": 0.1, "M": 1.5}))
@@ -199,14 +226,78 @@ class TestSelectAndLimit:
         assert not (workdir / "limit.csv").exists()
 
     def test_check_h4_defaults_on_d2_laplace(self, workdir):
-        """Both modes run at d = 2 with Laplace inputs: the quadrature Gram
-        takes the input law's rule, and passes the certificate."""
+        """At d = 2 with Laplace inputs the certified Gram takes the input
+        law's rule, and the Monte Carlo cross-check runs beside it."""
         units = [{"a": 1.0, "w": [0.5, 1.0, -0.5]}, {"a": 1.5, "w": [-0.3, 0.2, 1.2]}]
         spec = {"theta0": {"beta": 0.5, "units": units}, "sigma2": 1.0, "input_dim": 2, "input_law": "laplace"}
         (workdir / "wide.json").write_text(json.dumps(spec))
         assert run(["check-h4", "--spec", workdir / "wide.json", "--out-dir", workdir]) == 0
         reports = json.loads((workdir / "h4.json").read_text())["reports"]
-        assert set(reports) == {"mc", "gh"} and reports["gh"]["passed"]
+        assert set(reports) == {"gram", "mc_cross_check"}
+        assert reports["gram"]["method"] == "gauss_laguerre" and reports["gram"]["passed"]
+
+    def test_check_h4_failure_is_exit_4(self, workdir):
+        """Two identical true units fail the certificate that limit applies:
+        both exit 4, and check-h4 writes its report first."""
+        unit = {"a": 1.0, "w": [0.5, 1.0]}
+        spec = {"theta0": {"beta": 0.5, "units": [unit, unit]}, "sigma2": 1.0, "input_dim": 1}
+        (workdir / "twin.json").write_text(json.dumps(spec))
+        assert run(["limit", "--spec", workdir / "twin.json", "--k", 2, "--draws", 10, "--out-dir", workdir]) == 4
+        assert run(["check-h4", "--spec", workdir / "twin.json", "--out-dir", workdir]) == 4
+        reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert not reports["gram"]["passed"]
+
+    def test_failed_cross_check_leaves_exit_0(self, workdir, monkeypatch):
+        """The Monte Carlo cross-check is reported, but only the spec's own
+        Gram sets the exit code."""
+        def broken_mc(spec, mc_draws, seed):
+            gram = gram_matrix(spec, 1000, seed)
+            gram.x_gram[:, 0] = gram.x_gram[0, :] = 0.0  # a zero-norm column fails
+            return gram
+
+        monkeypatch.setattr(mlplr.cli, "gram_matrix", broken_mc)
+        assert run(["check-h4", "--spec", workdir / "spec.json", "--out-dir", workdir]) == 0
+        reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert reports["gram"]["passed"] and not reports["mc_cross_check"]["passed"]
+
+    def test_one_gram_per_d3_spec(self, workdir, monkeypatch):
+        """check-h4 certifies, and limit and experiment simulate on, the same
+        d = 3 Gram, and --save-gram writes exactly that Gram."""
+        unit = {"a": 1.0, "w": [0.5, 1.0, -0.5, 0.3]}
+        spec_dict = {"theta0": {"beta": 0.5, "units": [unit]}, "sigma2": 1.0, "input_dim": 3}
+        (workdir / "d3.json").write_text(json.dumps(spec_dict))
+        expected = default_gram(RegressionSpec.from_dict(spec_dict)).x_gram.tobytes()
+        used = []
+
+        def recording(simulate):
+            def wrapper(spec, k, gram, *args, **kwargs):
+                used.append(gram.x_gram.tobytes())
+                return simulate(spec, k, gram, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mlplr.cli, "simulate_limit", recording(mlplr.cli.simulate_limit))
+        monkeypatch.setattr(mlplr.harness, "simulate_limit", recording(mlplr.harness.simulate_limit))
+        assert run(["check-h4", "--spec", workdir / "d3.json", "--save-gram", "--out-dir", workdir]) == 0
+        reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert set(reports) == {"gram"} and reports["gram"]["method"] == "mc" and reports["gram"]["passed"]
+        assert np.loadtxt(workdir / "gram.mat").tobytes() == expected
+        for seed in (1, 2):
+            assert run(["limit", "--spec", workdir / "d3.json", "--k", 1, "--draws", 20, "--seed", seed,
+                        "--out-dir", workdir]) == 0
+        config = {
+            "spec": spec_dict,
+            "box": {"eta": 0.1, "M": 50.0},
+            "fit": {"n_starts": 1, "seed": 0, "max_iters": 20},
+            "schedule": {"kind": "bic_like", "input_dim": 3},
+            "n_grid": [20],
+            "k_grid": [1],
+            "replicates": 1,
+            "base_seed": 9,
+            "limit_draws": 20,
+        }
+        (workdir / "exp.json").write_text(json.dumps(config))
+        assert run(["experiment", "--config", workdir / "exp.json", "--out-dir", workdir / "results"]) == 0
+        assert used == [expected] * 3
 
     @pytest.mark.parametrize("input_dim", [5, "1"])
     def test_schedule_input_dim_must_match_spec(self, workdir, input_dim):

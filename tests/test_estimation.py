@@ -62,6 +62,24 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig.from_dict({field: value})
 
+    def test_rejects_non_finite_warm_start(self):
+        theta = MlpParams(0.5, [HiddenUnit(1.0, np.array([math.nan, 1.0]))])
+        with pytest.raises(ValueError, match="warm starts must be finite"):
+            FitConfig(warm_starts=[theta])
+        with pytest.raises(ValueError, match="warm starts must be finite"):
+            FitConfig.from_dict({"warm_starts": [theta.to_dict()]})
+
+    def test_non_finite_start_is_not_blamed_on_the_box(self, desk_spec, desk_box):
+        """A NaN start used to raise "eta=0.1 and M=50.0 are mutually
+        inconsistent"; only a box with M^2 <= 2k eta^2 is named."""
+        data = generate_dataset(desk_spec, 20, seed=1)
+        cfg = FitConfig(n_starts=1)
+        cfg.warm_starts = [MlpParams(0.5, [HiddenUnit(1.0, np.array([math.nan, 1.0]))])]  # past the check
+        with pytest.raises(ProjectionError, match="the point to project is not finite"):
+            fit_mle(data, 1, desk_box, cfg)
+        with pytest.raises(ProjectionError, match="mutually inconsistent"):
+            fit_mle(data, 2, ConstraintBox(1.0, 2.0), FitConfig(n_starts=1))
+
     def test_accepts_zero_iterations(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 30, seed=1)
         fit = fit_mle(data, 1, desk_box, FitConfig(n_starts=2, max_iters=0))

@@ -13,12 +13,13 @@ from mlplr import (
     RegressionSpec,
     expansion_decay,
     generate_dataset,
+    gram_matrix_gh,
     ks_distance,
     run_replicates,
     select_architecture,
     summarize,
 )
-from mlplr.harness import _cell_seed, default_gram
+from mlplr.harness import GRAM_DRAWS, GRAM_SEED, _cell_seed, default_gram
 
 
 def brute_force_ks(a, b):
@@ -243,17 +244,17 @@ class TestRecordedRun:
 
 class TestDefaultGram:
     def test_d2_gram_is_seed_free(self):
-        """At d = 2 the Gram is the input law's quadrature, whatever the seed."""
+        """At d = 2 the Gram is the input law's quadrature, which no seed touches."""
         unit = HiddenUnit(1.0, np.array([0.5, 1.0, -0.5]))
         for law in ("standard_normal", "laplace"):
             spec = RegressionSpec(MlpParams(0.5, [unit]), 1.0, 2, input_law=law)
-            g1, g2 = default_gram(spec, seed=1), default_gram(spec, seed=2)
-            assert g1.method != "mc" and g1.x_gram.tobytes() == g2.x_gram.tobytes()
+            gram = default_gram(spec)
+            assert gram.method != "mc" and gram.x_gram.tobytes() == gram_matrix_gh(spec).x_gram.tobytes()
 
     def test_d3_gram_is_monte_carlo(self):
         spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5, 0.3]))]), 1.0, 3)
-        gram = default_gram(spec, draws=1000, seed=4)
-        assert (gram.method, gram.mc_draws, gram.seed) == ("mc", 1000, 4)
+        gram = default_gram(spec)
+        assert (gram.method, gram.mc_draws, gram.seed) == ("mc", GRAM_DRAWS, GRAM_SEED)
 
 
 class TestExpansionDecay:
