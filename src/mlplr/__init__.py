@@ -5,7 +5,7 @@ selection, and a Monte Carlo simulator of the asymptotic LR law under
 over-parameterization.
 """
 
-from .estimation import FitConfig, FitResult, ProfileEntry, ProjectionError, fit_mle, profile_lr_curve
+from .estimation import FitConfig, FitResult, ProjectionError, fit_mle, profile_lr_curve
 from .harness import (
     ExperimentConfig,
     ReplicateMatrix,

@@ -210,7 +210,7 @@ def cmd_check_h4(args) -> int:
         grams = {"gram": gram}
         if spec.input_dim <= 2:  # the quadrature Gram, cross-checked by Monte Carlo
             grams["mc_cross_check"] = gram_matrix(spec, GRAM_DRAWS, GRAM_SEED)
-        reports = {name: {"method": g.method, **asdict(check_h4(g, tol=args.tol))} for name, g in grams.items()}
+        reports = {name: {"method": g.method, **asdict(check_h4(g))} for name, g in grams.items()}
         if args.save_gram:
             save_gram(gram, _out_path(args, "gram"), spec)
     except Exception as exc:
@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-h4", parents=[common], help="linear-independence certificate of the spec's Gram")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--save-gram", action="store_true", help="write the certified Gram to gram.mat and gram.json")
     p.add_argument("--out", default="h4.json")
     p.set_defaults(fn=cmd_check_h4)

@@ -353,13 +353,6 @@ def fit_mle(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProfileEntry:
-    k: int
-    sup_loglik: float
-    fit: FitResult
-
-
 def _embedded_starts(prev: MlpParams, box: ConstraintBox, seed: int, k: int, init_scale: float) -> list[MlpParams]:
     """Warm starts for width k from the best (k-1)-unit fit.
 
@@ -388,21 +381,19 @@ def profile_lr_curve(
     k_max: int,
     box: ConstraintBox,
     config: FitConfig,
-) -> list[ProfileEntry]:
-    """Per-width suprema of the log-likelihood for k = 1 .. k_max.
+) -> list[FitResult]:
+    """Per-width fits for k = 1 .. k_max; entry k - 1 holds width k's
+    supremum of the log-likelihood as its loglik.
 
     Each width k > 1 receives warm starts embedding the best (k-1)-unit
     fit, so the returned suprema are non-decreasing up to optimizer slack.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    entries: list[ProfileEntry] = []
-    prev_fit: FitResult | None = None
+    fits: list[FitResult] = []
     for k in range(1, k_max + 1):
         warm = config.warm_starts or []
-        if prev_fit is not None:
-            warm = _embedded_starts(prev_fit.theta_hat, box, config.seed, k, config.init_scale) + warm
-        fit = fit_mle(data, k, box, replace(config, warm_starts=warm or None))
-        entries.append(ProfileEntry(k, fit.loglik, fit))
-        prev_fit = fit
-    return entries
+        if fits:
+            warm = _embedded_starts(fits[-1].theta_hat, box, config.seed, k, config.init_scale) + warm
+        fits.append(fit_mle(data, k, box, replace(config, warm_starts=warm or None)))
+    return fits

@@ -222,16 +222,15 @@ def _run_one(config: ExperimentConfig, replicate: int, n_index: int) -> list[Rep
         fit_cfg = replace(config.fit, seed=_cell_seed(config.base_seed, replicate, n_index + 10_000))
         profile = profile_lr_curve(data, k_max, config.box, fit_cfg)
         true_ll = conditional_loglik(config.spec.theta0, data)
-        penalties = [penalty_value(config.schedule, n, entry.k) for entry in profile]
-        k_hat, t_vals = select_width([entry.sup_loglik for entry in profile], penalties)
+        penalties = [penalty_value(config.schedule, n, k) for k in range(1, k_max + 1)]
+        k_hat, t_vals = select_width([fit.loglik for fit in profile], penalties)
         cells = []
         for k in config.k_grid:
-            entry = profile[k - 1]
-            lr = lr_statistic(entry.sup_loglik, config.spec, data, true_loglik=true_ll)
+            fit = profile[k - 1]
+            lr = lr_statistic(fit.loglik, config.spec, data, true_loglik=true_ll)
             cells.append(
                 ReplicateCell(
-                    replicate, n, k, lr, entry.sup_loglik, penalties[k - 1], t_vals[k - 1],
-                    entry.fit.converged, k_hat,
+                    replicate, n, k, lr, fit.loglik, penalties[k - 1], t_vals[k - 1], fit.converged, k_hat,
                 )
             )
         return cells
@@ -347,14 +346,9 @@ def expansion_decay(
     out = []
     for scale in scales:
         rep = base.displaced(scale * direction)
-        rem = 0.0
-        for xi, yi in zip(X, y):
-            terms = taylor_terms(rep, spec, xi, float(yi))
-            rem += abs(
-                density_ratio(rep, spec, xi, float(yi))
-                - 1.0 - terms.first_order - 0.5 * terms.second_order
-            )
-        out.append(rem / n_draws)
+        terms = taylor_terms(rep, spec, X, y)
+        rem = density_ratio(rep, spec, X, y) - 1.0 - terms.first_order - 0.5 * terms.second_order
+        out.append(float(np.mean(np.abs(rem))))
     return out
 
 

@@ -5,7 +5,11 @@ The reparameterization splits the parameters of an over-sized network
 into an identifiable block (beta, the grouped weight vectors, and the
 per-group amplitude surpluses s_i) and a nuisance block of within-group
 amplitude fractions q_j. All expansion formulas are evaluated at the
-base point, where every grouped weight sits on its true unit.
+base point, where every grouped weight sits on its true unit. The
+derivative catalog there is read off the limit score basis
+(eval_score_basis_batch), the same columns the Gram and simulate_limit
+use; only the density ratio itself runs a forward pass. Every function
+takes a batch of observations, X of shape (n, d) and y of shape (n,).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit_law import Partition
+from .limit_law import Partition, ScoreBasis, eval_score_basis_batch
 from .model import Dataset, MlpParams, RegressionSpec, augment, mlp_forward_batch, transfer_eval
 
 # ---------------------------------------------------------------------------
@@ -35,11 +39,10 @@ def conditional_loglik(theta: MlpParams, data: Dataset) -> float:
     return float(-0.5 * n * np.log(2.0 * np.pi * data.sigma2) - 0.5 * np.sum(r * r) / data.sigma2)
 
 
-def residual_score(spec: RegressionSpec, x, y: float) -> float:
-    """Standardized residual e(z) = (y - F(x)) / sigma2 under the truth."""
-    x = np.asarray(x, dtype=float)
-    pred = mlp_forward_batch(spec.theta0, x[None, :])[0]
-    return float((y - pred) / spec.sigma2)
+def residual_score(spec: RegressionSpec, X, y) -> np.ndarray:
+    """Standardized residuals e(z) = (y - F(x)) / sigma2 under the truth,
+    for inputs X (n, d) and responses y (n,)."""
+    return (np.asarray(y, dtype=float) - mlp_forward_batch(spec.theta0, X)) / spec.sigma2
 
 
 def lr_statistic(
@@ -76,7 +79,8 @@ class Reparameterization:
     phi is the flat identifiable block [beta, w_1 .. w_T, s_1 .. s_k0]
     with T = t_k0 grouped weight vectors of length d+1 each; psi holds the
     within-group fractions q_1 .. q_T (summing to one per group wherever
-    the group's amplitude sum is nonzero).
+    the group's amplitude sum is nonzero). phi may also stack R points as
+    an (R, P) array, which density_ratio evaluates in one pass.
     """
 
     partition: Partition
@@ -90,32 +94,8 @@ class Reparameterization:
         if len(self.psi) != T:
             raise ValueError(f"psi must hold {T} fractions, got {len(self.psi)}")
 
-    # -- layout ------------------------------------------------------------
-    @property
-    def k0(self) -> int:
-        return self.partition.k0
-
-    def input_dim(self) -> int:
-        T = self.partition.total_units
-        return (len(self.phi) - 1 - self.k0) // T - 1
-
-    def beta(self) -> float:
-        return float(self.phi[0])
-
-    def w(self, j: int) -> np.ndarray:
-        """Grouped weight vector of fitted unit j (1-based)."""
-        d1 = self.input_dim() + 1
-        start = 1 + (j - 1) * d1
-        return self.phi[start : start + d1]
-
-    def s(self, i: int) -> float:
-        """Amplitude surplus of true unit i (1-based)."""
-        return float(self.phi[1 + self.partition.total_units * (self.input_dim() + 1) + i - 1])
-
-    def q(self, j: int) -> float:
-        return float(self.psi[j - 1])
-
     def displaced(self, delta: np.ndarray) -> "Reparameterization":
+        """The point phi + delta; an (R, P) delta gives R stacked points."""
         return Reparameterization(self.partition, self.phi + np.asarray(delta, dtype=float), self.psi)
 
 
@@ -158,73 +138,76 @@ def base_reparameterization(
 # ---------------------------------------------------------------------------
 
 
-def _regression_value(rep: Reparameterization, spec: RegressionSpec, Xa: np.ndarray) -> np.ndarray:
-    """F(x) under the reparameterized point, for augmented inputs Xa."""
+def density_ratio(rep: Reparameterization, spec: RegressionSpec, X, y) -> np.ndarray:
+    """f_theta / f at every observation (X (n, d), y (n,)) for each point of
+    rep: shape (n,) for one phi, (R, n) for R stacked rows."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     part = rep.partition
-    out = np.full(Xa.shape[0], rep.beta())
-    for i in range(1, part.k0 + 1):
-        amp = rep.s(i) + spec.theta0.units[i - 1].a
-        mix = np.zeros(Xa.shape[0])
-        for j in part.group(i):
-            mix += rep.q(j) * transfer_eval(Xa @ rep.w(j), 0)
-        out += amp * mix
-    return out
-
-
-def density_ratio(rep: Reparameterization, spec: RegressionSpec, x, y: float) -> float:
-    """f_theta / f at one observation, for the reparameterized point."""
-    Xa = augment(np.asarray(x, dtype=float))[None, :]
-    f_val = _regression_value(rep, spec, Xa)[0]
-    f0 = mlp_forward_batch(spec.theta0, np.asarray(x, dtype=float)[None, :])[0]
+    phi = np.atleast_2d(rep.phi)
+    T, d1 = part.total_units, spec.input_dim + 1
+    W = phi[:, 1 : 1 + T * d1].reshape(len(phi), T, d1)
+    amp = phi[:, 1 + T * d1 :] + [u.a for u in spec.theta0.units]
+    # sum_j q_j phi(w_j^T xt) over each group's fitted units: (R, k0, n)
+    mix = np.add.reduceat(rep.psi[:, None] * transfer_eval(W @ augment(X).T, 0), part.t[:-1], axis=1)
+    f_val = phi[:, :1] + np.einsum("ri,rin->rn", amp, mix)
+    f0 = mlp_forward_batch(spec.theta0, X)
     s2 = spec.sigma2
-    return float(np.exp(-((y - f_val) ** 2) / (2 * s2) + (y - f0) ** 2 / (2 * s2)))
+    ratio = np.exp(-((y - f_val) ** 2) / (2 * s2) + (y - f0) ** 2 / (2 * s2))
+    return ratio.reshape(rep.phi.shape[:-1] + y.shape)
 
 
-def _base_gradients(rep: Reparameterization, spec: RegressionSpec, xa: np.ndarray):
-    """x-parts of the first and second derivatives of F at the base point.
+def _base_gradients(rep: Reparameterization, spec: RegressionSpec, X: np.ndarray):
+    """x-parts of the first and second derivatives of F at the base point,
+    placed from the rows of eval_score_basis_batch(spec, X).
 
-    Returns (gradF, hessF) in the flat phi layout; the density-ratio
-    derivatives follow as e * gradF and
+    Returns gradF (n, P) and hessF (n, P, P) in the flat phi layout. The
+    beta entry is the basis constant and s_i's is phi(w_i^T xt); grouped
+    unit j of true unit i takes a_i q_j times the phi' columns in its w
+    block, a_i q_j times the phi'' columns, pair (min(l, m), max(l, m)),
+    in its w-w block, and q_j times the phi' columns in the s_i-w_j cross
+    block. The density-ratio derivatives follow as e * gradF and
     (e^2 - 1/sigma2) gradF gradF^T + e * hessF.
     """
     part = rep.partition
-    d1 = len(xa)
-    T = part.total_units
+    basis = ScoreBasis(spec.k0, spec.input_dim)
+    B = eval_score_basis_batch(spec, X, basis)
+    n, d1, T = len(B), spec.input_dim + 1, part.total_units
     P = 1 + T * d1 + part.k0
-    grad = np.zeros(P)
-    hess = np.zeros((P, P))
-    grad[0] = 1.0
-    for i in range(1, part.k0 + 1):
-        unit = spec.theta0.units[i - 1]
-        t0 = float(unit.w @ xa)
-        p0, p1, p2 = transfer_eval(t0, 0), transfer_eval(t0, 1), transfer_eval(t0, 2)
-        s_pos = 1 + T * d1 + i - 1
-        grad[s_pos] = p0
-        for j in part.group(i):
-            qj = rep.q(j)
+    grad = np.zeros((n, P))
+    hess = np.zeros((n, P, P))
+    grad[:, 0] = B[:, 0]
+    for i, unit in enumerate(spec.theta0.units):
+        s_pos = 1 + T * d1 + i
+        grad[:, s_pos] = B[:, basis.phi_index(i)]
+        dphi = B[:, [basis.dphi_index(i, l) for l in range(d1)]]
+        ddphi = B[:, [[basis.ddphi_index(i, min(l, m), max(l, m)) for m in range(d1)] for l in range(d1)]]
+        for j in part.group(i + 1):
+            qj = rep.psi[j - 1]
             w_sl = slice(1 + (j - 1) * d1, 1 + j * d1)
-            grad[w_sl] = unit.a * qj * p1 * xa
-            hess[w_sl, w_sl.start : w_sl.stop] = unit.a * qj * p2 * np.outer(xa, xa)
-            hess[s_pos, w_sl] = qj * p1 * xa
-            hess[w_sl, s_pos] = qj * p1 * xa
+            grad[:, w_sl] = unit.a * qj * dphi
+            hess[:, w_sl, w_sl] = unit.a * qj * ddphi
+            hess[:, s_pos, w_sl] = hess[:, w_sl, s_pos] = qj * dphi
     return grad, hess
 
 
 @dataclass
 class TaylorTerms:
-    """First- and second-order terms of f_theta/f - 1 around the base point."""
+    """First- and second-order terms of f_theta/f - 1 around the base
+    point, one entry per observation."""
 
-    first_order: float
-    second_order: float
+    first_order: np.ndarray  # (n,)
+    second_order: np.ndarray  # (n,)
 
 
 def taylor_terms(
     rep: Reparameterization,
     spec: RegressionSpec,
-    x,
-    y: float,
+    X,
+    y,
 ) -> TaylorTerms:
-    """Evaluate the two expansion terms of the density ratio at z = (x, y).
+    """Evaluate the two expansion terms of the density ratio at every
+    observation z = (x, y) of X (n, d) and y (n,).
 
     first_order is e(z) times the displacement contracted against the
     regression gradient; second_order assembles the squared-score block
@@ -233,12 +216,11 @@ def taylor_terms(
     """
     base = base_reparameterization(rep.partition, spec, rep.psi)
     delta = rep.phi - base.phi
-    xa = augment(np.asarray(x, dtype=float))
-    e = residual_score(spec, x, y)
-    grad, hess = _base_gradients(rep, spec, xa)
-    lin = float(grad @ delta)
+    e = residual_score(spec, X, y)
+    grad, hess = _base_gradients(rep, spec, X)
+    lin = grad @ delta
     first = e * lin
-    second = (e * e - 1.0 / spec.sigma2) * lin * lin + e * float(delta @ hess @ delta)
+    second = (e * e - 1.0 / spec.sigma2) * lin * lin + e * (delta @ hess @ delta)
     return TaylorTerms(first, second)
 
 
@@ -279,40 +261,25 @@ def fd_check_derivatives(
     judged on absolute error.
     """
     base = base_reparameterization(rep.partition, spec, rep.psi)
-    xa = augment(np.asarray(x, dtype=float))
-    e = residual_score(spec, x, y)
-    grad, hessF = _base_gradients(base, spec, xa)
+    X = np.asarray(x, dtype=float)[None, :]
+    Y = np.array([float(y)])
+    e = residual_score(spec, X, Y)[0]
+    grad, hessF = (a[0] for a in _base_gradients(base, spec, X))
     an_grad = e * grad
     an_hess = (e * e - 1.0 / spec.sigma2) * np.outer(grad, grad) + e * hessF
 
+    # every displaced point in one call: the 2P rows +-h e_a, then the 4P^2
+    # rows h2 (s_a e_a + s_b e_b) over the signs (s_a, s_b) and pairs (a, b)
     P = len(base.phi)
-
-    def ratio_at(phi_vec: np.ndarray) -> float:
-        return density_ratio(Reparameterization(rep.partition, phi_vec, rep.psi), spec, x, y)
-
-    h = step_first
-    fd_grad = np.empty(P)
-    for a in range(P):
-        up, dn = base.phi.copy(), base.phi.copy()
-        up[a] += h
-        dn[a] -= h
-        fd_grad[a] = (ratio_at(up) - ratio_at(dn)) / (2 * h)
-
-    h2 = step_second
-    fd_hess = np.empty((P, P))
-    for a in range(P):
-        for b in range(a, P):
-            pp, pm, mp, mm = (base.phi.copy() for _ in range(4))
-            pp[a] += h2
-            pp[b] += h2
-            pm[a] += h2
-            pm[b] -= h2
-            mp[a] -= h2
-            mp[b] += h2
-            mm[a] -= h2
-            mm[b] -= h2
-            val = (ratio_at(pp) - ratio_at(pm) - ratio_at(mp) + ratio_at(mm)) / (4 * h2 * h2)
-            fd_hess[a, b] = fd_hess[b, a] = val
+    h, h2 = step_first, step_second
+    one = np.array([1.0, -1.0])[:, None, None] * np.eye(P)
+    two = one[:, None, :, None, :] + one[None, :, None, :, :]
+    rows = np.concatenate([h * one.reshape(-1, P), h2 * two.reshape(-1, P)])
+    ratio = density_ratio(base.displaced(rows), spec, X, Y)[:, 0]
+    g = ratio[: 2 * P].reshape(2, P)
+    fd_grad = (g[0] - g[1]) / (2 * h)
+    q = ratio[2 * P :].reshape(2, 2, P, P)
+    fd_hess = (q[0, 0] - q[0, 1] - q[1, 0] + q[1, 1]) / (4 * h2 * h2)
 
     first_err = np.abs(fd_grad - an_grad) / np.maximum(1.0, np.abs(an_grad))
     second_err = np.abs(fd_hess - an_hess) / np.maximum(1.0, np.abs(an_hess))

@@ -283,6 +283,9 @@ def gram_matrix_gh(spec: RegressionSpec, basis: ScoreBasis | None = None) -> Gra
     return _finalize_gram((B * w[:, None]).T @ B, spec, w.size, 0, basis, method)
 
 
+H4_TOL = 1e-8  # least scaled eigenvalue that certifies a Gram
+
+
 @dataclass
 class H4Report:
     """Numerical certificate for the linear-independence assumption."""
@@ -290,11 +293,12 @@ class H4Report:
     min_eigenvalue: float  # of the unit-diagonal-scaled x_gram
     passed: bool
     raw_min_eigenvalue: float
-    tol: float
+    tol: float  # H4_TOL, reported beside the verdict
 
 
-def check_h4(gram: GramMatrix, tol: float = 1e-8) -> H4Report:
-    """Smallest eigenvalue of the diagonally normalized x_gram.
+def check_h4(gram: GramMatrix) -> H4Report:
+    """Smallest eigenvalue of the diagonally normalized x_gram, which
+    passes at H4_TOL or above.
 
     Linear independence of the basis functions is scale invariant, so the
     certificate normalizes each function to unit L2 norm first (otherwise
@@ -305,11 +309,11 @@ def check_h4(gram: GramMatrix, tol: float = 1e-8) -> H4Report:
     raw = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
     diag = np.diag(G).copy()
     if np.any(diag <= 0):
-        return H4Report(0.0, False, raw, tol)
+        return H4Report(0.0, False, raw, H4_TOL)
     s = 1.0 / np.sqrt(diag)
     C = G * np.outer(s, s)
     mn = float(np.linalg.eigvalsh(0.5 * (C + C.T)).min())
-    return H4Report(mn, bool(mn >= tol), raw, tol)
+    return H4Report(mn, bool(mn >= H4_TOL), raw, H4_TOL)
 
 
 def save_gram(gram: GramMatrix, prefix: str, spec: RegressionSpec) -> None:
@@ -433,13 +437,13 @@ class LimitSample:
 
     values: np.ndarray
     k: int
-    best_partition: list[tuple[int, ...]] = field(default_factory=list)
+    best_partition: list[tuple[int, ...]]  # per draw, the winning partition's t
     # per draw, the solver of the winning partition: "linear" (no quadratic
     # direction; extra phi columns, if any, chosen greedily), "exact_rank1"
     # or "exact_psd" (d = 1 closed forms for one true unit, extra phi
     # columns included), "search" (the sphere search: d > 1, or quadratic
     # directions on several true units)
-    path: np.ndarray | None = None
+    path: np.ndarray
     extended: bool = False
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
@@ -447,10 +451,8 @@ class LimitSample:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             fh.write("value,best_partition,path\n")
-            for i, v in enumerate(self.values):
-                t = "-".join(str(x) for x in self.best_partition[i]) if self.best_partition else ""
-                r = self.path[i] if self.path is not None else ""
-                fh.write(f"{repr(float(v))},{t},{r}\n")
+            for v, t, r in zip(self.values, self.best_partition, self.path):
+                fh.write(f"{repr(float(v))},{'-'.join(map(str, t))},{r}\n")
 
 
 def _direction_columns(basis: ScoreBasis, unit: int, sign: float, u: np.ndarray) -> np.ndarray:
@@ -1107,7 +1109,7 @@ def simulate_limit(
     the winning partition: the linear block (plus any extra columns)
     alone; at d = 1, the closed forms for one true unit's rank-one or full
     PSD cone, extra columns included; otherwise (d > 1, or quadratic
-    directions on several true units) the sphere search. The core basis must pass check_h4 at its default tolerance.
+    directions on several true units) the sphere search. The core basis must pass check_h4.
 
     Deterministic given the seed: draw i is exactly
     default_rng([seed, i]).standard_normal(p) mapped by the lower Cholesky

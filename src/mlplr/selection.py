@@ -99,9 +99,7 @@ def select_architecture(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     profile = profile_lr_curve(data, k_max, box, fit_config)
-    penalties = [penalty_value(schedule, data.n, entry.k) for entry in profile]
-    k_hat, t_vals = select_width([entry.sup_loglik for entry in profile], penalties)
-    per_k = [
-        (entry.k, entry.sup_loglik, pen, t_n) for entry, pen, t_n in zip(profile, penalties, t_vals)
-    ]
-    return SelectionReport(per_k, k_hat, data.n, [entry.fit.converged for entry in profile])
+    penalties = [penalty_value(schedule, data.n, k) for k in range(1, k_max + 1)]
+    k_hat, t_vals = select_width([fit.loglik for fit in profile], penalties)
+    per_k = [(k, fit.loglik, pen, t_n) for k, (fit, pen, t_n) in enumerate(zip(profile, penalties, t_vals), 1)]
+    return SelectionReport(per_k, k_hat, data.n, [fit.converged for fit in profile])

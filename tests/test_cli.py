@@ -201,12 +201,13 @@ class TestSelectAndLimit:
     @pytest.mark.parametrize(
         "args",
         [["limit", "--k", 1, "--gram-mode", "mc"], ["limit", "--k", 1, "--gram-draws", 10],
-         ["check-h4", "--mode", "mc"], ["check-h4", "--seed", 3], ["gen", "--n", 10, "--threads", 2]],
-        ids=["limit_gram_mode", "limit_gram_draws", "check_h4_mode", "check_h4_seed", "gen_threads"],
+         ["check-h4", "--mode", "mc"], ["check-h4", "--seed", 3], ["check-h4", "--tol", 0.5],
+         ["gen", "--n", 10, "--threads", 2]],
+        ids=["limit_gram_mode", "limit_gram_draws", "check_h4_mode", "check_h4_seed", "check_h4_tol", "gen_threads"],
     )
     def test_removed_option_is_usage_error(self, workdir, args):
-        """Each command takes the spec's one Gram, and only experiment runs
-        a process pool."""
+        """Each command takes the spec's one Gram and its one certificate,
+        and only experiment runs a process pool."""
         with pytest.raises(SystemExit) as exc:
             run([*args[:1], "--spec", workdir / "spec.json", *args[1:], "--out-dir", workdir])
         assert exc.value.code == 2

@@ -104,7 +104,7 @@ class TestFitMle:
         data = generate_dataset(desk_spec, 150, seed=5)
         cfg = FitConfig(n_starts=6, seed=3)
         prof = profile_lr_curve(data, 2, desk_box, cfg)
-        assert prof[1].sup_loglik >= prof[0].sup_loglik - 1e-8
+        assert prof[1].loglik >= prof[0].loglik - 1e-8
 
     def test_determinism(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 80, seed=7)
@@ -256,8 +256,8 @@ class TestProfileCurve:
         prof = profile_lr_curve(data, 1, desk_box, cfg)
         fit = fit_mle(data, 1, desk_box, cfg)
         assert len(prof) == 1
-        assert prof[0].sup_loglik == fit.loglik
-        np.testing.assert_array_equal(prof[0].fit.theta_hat.flatten(), fit.theta_hat.flatten())
+        assert prof[0].loglik == fit.loglik
+        np.testing.assert_array_equal(prof[0].theta_hat.flatten(), fit.theta_hat.flatten())
 
     def test_noiseless_suprema_coincide(self, desk_spec, desk_box):
         """With exact interpolation available at every k >= k0 all three
@@ -266,13 +266,13 @@ class TestProfileCurve:
         cfg = FitConfig(n_starts=4, seed=6, warm_starts=[desk_spec.theta0])
         prof = profile_lr_curve(data, 3, desk_box, cfg)
         target = loglik_constant(data.n, 1.0)
-        for entry in prof:
-            assert abs(entry.sup_loglik - target) <= 1e-6
+        for fit in prof:
+            assert abs(fit.loglik - target) <= 1e-6
 
     def test_suprema_non_decreasing(self, desk_spec, desk_box):
         data = generate_dataset(desk_spec, 500, seed=19)
         prof = profile_lr_curve(data, 3, desk_box, FitConfig(n_starts=6, seed=7))
-        sups = [e.sup_loglik for e in prof]
+        sups = [f.loglik for f in prof]
         assert sups[1] >= sups[0] - 1e-6
         assert sups[2] >= sups[1] - 1e-6
 

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from mlplr.limit_law import eval_score_basis_batch
+
 from mlplr import (
     Dataset,
     HiddenUnit,
     MlpParams,
     Partition,
     RegressionSpec,
+    ScoreBasis,
     base_reparameterization,
     conditional_loglik,
     density_ratio,
     fd_check_derivatives,
     generate_dataset,
+    gradcheck,
     lr_statistic,
     mlp_forward_batch,
     residual_score,
@@ -59,22 +63,22 @@ class TestConditionalLoglik:
 
 class TestResidualScore:
     def test_zero_residual(self, desk_spec):
-        x = np.array([0.3])
-        y = mlp_forward_batch(desk_spec.theta0, x[None, :])[0]
+        x = np.array([[0.3]])
+        y = mlp_forward_batch(desk_spec.theta0, x)
         assert residual_score(desk_spec, x, y) == 0.0
 
     def test_unit_scaled_residual(self):
         theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])
         spec = RegressionSpec(theta0, sigma2=1.7, input_dim=1)
-        x = np.array([-0.4])
-        y = mlp_forward_batch(theta0, x[None, :])[0] + spec.sigma2
+        x = np.array([[-0.4]])
+        y = mlp_forward_batch(theta0, x) + spec.sigma2
         np.testing.assert_allclose(residual_score(spec, x, y), 1.0, rtol=1e-14)
 
     def test_moments(self, desk_spec):
         """e = eps / sigma2 has mean 0 and variance 1/sigma2."""
         n = 100_000
         data = generate_dataset(desk_spec, n, seed=13)
-        e = (data.y - mlp_forward_batch(desk_spec.theta0, data.x)) / desk_spec.sigma2
+        e = residual_score(desk_spec, data.x, data.y)
         sigma = np.sqrt(desk_spec.sigma2)
         assert abs(np.mean(e)) <= 3 / (sigma * np.sqrt(n))
         assert abs(np.var(e) * desk_spec.sigma2 - 1.0) <= 0.05
@@ -114,20 +118,31 @@ class TestReparameterization:
     def test_base_point_replicates_true_units(self, desk_spec):
         part = Partition((0, 3))
         base = base_reparameterization(part, desk_spec)
-        for j in (1, 2, 3):
-            np.testing.assert_array_equal(base.w(j), desk_spec.theta0.units[0].w)
-        assert base.s(1) == 0.0
-        np.testing.assert_allclose(sum(base.q(j) for j in (1, 2, 3)), 1.0)
+        # phi is [beta, w1[0], w1[1], w2[0], w2[1], w3[0], w3[1], s1]
+        np.testing.assert_array_equal(base.phi[1:7].reshape(3, 2), np.tile(desk_spec.theta0.units[0].w, (3, 1)))
+        assert base.phi[7] == 0.0
+        np.testing.assert_allclose(base.psi.sum(), 1.0)
 
     def test_base_point_ratio_is_one(self, desk_spec):
         base = base_reparameterization(Partition((0, 2)), desk_spec, psi=np.array([0.3, 0.7]))
-        assert density_ratio(base, desk_spec, np.array([0.8]), 1.4) == pytest.approx(1.0)
+        assert density_ratio(base, desk_spec, np.array([[0.8]]), np.array([1.4])) == pytest.approx(1.0)
+
+    def test_stacked_points_match_one_at_a_time(self, desk_spec):
+        """An (R, P) stack of points gives the rows of R single evaluations."""
+        base = base_reparameterization(Partition((0, 2)), desk_spec, psi=np.array([0.3, 0.7]))
+        rng = np.random.default_rng(4)
+        deltas = 0.1 * rng.standard_normal((3, len(base.phi)))
+        X, y = rng.standard_normal((5, 1)), rng.standard_normal(5)
+        stacked = density_ratio(base.displaced(deltas), desk_spec, X, y)
+        assert stacked.shape == (3, 5)
+        for row, delta in zip(stacked, deltas):
+            np.testing.assert_allclose(row, density_ratio(base.displaced(delta), desk_spec, X, y), rtol=1e-14)
 
 
 class TestTaylorTerms:
     def test_zero_displacement(self, desk_spec):
         base = base_reparameterization(Partition((0, 2)), desk_spec)
-        terms = taylor_terms(base, desk_spec, np.array([0.5]), 2.0)
+        terms = taylor_terms(base, desk_spec, np.array([[0.5]]), np.array([2.0]))
         assert terms.first_order == 0.0
         assert terms.second_order == 0.0
 
@@ -138,7 +153,7 @@ class TestTaylorTerms:
         h = 0.37
         delta = np.zeros_like(base.phi)
         delta[0] = h
-        x, y = np.array([0.5]), 2.0
+        x, y = np.array([[0.5]]), np.array([2.0])
         e = residual_score(desk_spec, x, y)
         terms = taylor_terms(base.displaced(delta), desk_spec, x, y)
         np.testing.assert_allclose(terms.first_order, e * h, rtol=1e-12)
@@ -148,7 +163,7 @@ class TestTaylorTerms:
         base = base_reparameterization(Partition((0, 2)), desk_spec)
         rng = np.random.default_rng(8)
         delta = rng.standard_normal(len(base.phi)) * 1e-2
-        x, y = np.array([-0.3]), 0.9
+        x, y = np.array([[-0.3]]), np.array([0.9])
         t1 = taylor_terms(base.displaced(delta), desk_spec, x, y)
         t2 = taylor_terms(base.displaced(2 * delta), desk_spec, x, y)
         np.testing.assert_allclose(t2.first_order, 2 * t1.first_order, rtol=1e-12)
@@ -161,8 +176,8 @@ class TestTaylorTerms:
         rng = np.random.default_rng(5)
         direction = rng.standard_normal(len(base.phi))
         direction /= np.linalg.norm(direction)
-        x = rng.standard_normal(1)
-        y = float(mlp_forward_batch(desk_spec.theta0, x[None, :])[0] + rng.standard_normal())
+        x = rng.standard_normal((1, 1))
+        y = mlp_forward_batch(desk_spec.theta0, x) + rng.standard_normal()
         rems = []
         for h in (1e-2, 5e-3, 2.5e-3):
             rep = base.displaced(h * direction)
@@ -193,12 +208,32 @@ class TestFdCheck:
             assert report.second_errors[0, w] <= 1e-5
 
     def test_catalog_over_random_draws(self, desk_spec):
-        """Light version of the acceptance sweep (20 draws)."""
-        from mlplr import gradcheck
+        """Light version of the acceptance sweep (20 draws), on the desk
+        spec and on a d = 2, k0 = 2 Laplace spec, where the phi'' block has
+        off-diagonal pairs and a partition has two groups."""
+        theta0 = MlpParams(0.3, [HiddenUnit(1.2, np.array([0.2, 1.0, -0.5])),
+                                 HiddenUnit(-0.8, np.array([-0.4, 0.3, 0.9]))])
+        d2_spec = RegressionSpec(theta0, sigma2=0.8, input_dim=2, input_law="laplace")
+        for spec in (desk_spec, d2_spec):
+            report = gradcheck(spec, k=spec.k0 + 1, n_draws=20, seed=0)
+            assert report["max_rel_error_first"] <= 1e-5
+            assert report["max_rel_error_second"] <= 1e-4
 
-        report = gradcheck(desk_spec, k=desk_spec.k0 + 1, n_draws=20, seed=0)
+    def test_catalog_is_read_off_the_score_basis(self, desk_spec, monkeypatch):
+        """Halving one phi'' column of the limit score basis must show up
+        in the catalog check: the analytic derivatives are the basis the
+        limit law simulates, not a copy of it."""
+        import mlplr.likelihood
+
+        def halved(spec, X, basis=None):
+            B = eval_score_basis_batch(spec, X, basis)
+            B[:, ScoreBasis(spec.k0, spec.input_dim).ddphi_index(0, 0, 1)] *= 0.5
+            return B
+
+        monkeypatch.setattr(mlplr.likelihood, "eval_score_basis_batch", halved)
+        report = gradcheck(desk_spec, k=2, n_draws=100, seed=7)
         assert report["max_rel_error_first"] <= 1e-5
-        assert report["max_rel_error_second"] <= 1e-4
+        assert report["max_rel_error_second"] > 1e-4
 
     def test_non_unit_variance_catalog(self):
         """The squared-score coefficient generalizes to e^2 - 1/sigma2."""
