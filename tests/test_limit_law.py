@@ -586,6 +586,19 @@ class TestSimulateLimit:
             values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
             assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
 
+    def test_desk_extended_draws_match_recorded(self, desk_spec, desk_box):
+        """sha256 of the extended draws at seed 71 over the default grid:
+        k = 2 takes the greedy extra columns, and k = 3 also the rank-one
+        gain on per-draw metrics (a quadratic direction with a free unit)."""
+        gram = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
+        recorded = {
+            2: "d8a7a84a183789df6ae8f83da01aee4e949bd3f430f5e25bf13ef34ff0130032",
+            3: "d79b4904d5896814ba4b6485da05ed2488c8a39e61b65eb1d0a49a8e64be0f92",
+        }
+        for k, digest in recorded.items():
+            values = simulate_limit(desk_spec, k, gram, 500, seed=71, extended=True).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
+
     def test_determinism(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
         a = simulate_limit(desk_spec, 2, gram, 100, seed=41)
