@@ -8,7 +8,9 @@ Exit codes:
   0  success;
   2  a configuration input (spec, box, fit config, schedule, dataset or
      experiment config) cannot be read, parsed or validated, or an
-     option comes without the one it needs;
+     option comes without the one it needs; or the command line does not
+     parse, which includes a count (--n, --k, --k-max, --draws,
+     --threads) below 1 and a --seed below 0;
   3  a fit failed; for experiment, a replicate cell failed or the run
      failed outside its limit-law stage;
   4  the limit law failed: its Gram, certificate or simulation (limit,
@@ -262,24 +264,40 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_COUNT, _SEED = _int_at_least(1), _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for output files")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    seeded.add_argument("--seed", type=_SEED, default=None, help="override the configured seed")
 
     parser = argparse.ArgumentParser(prog="mlplr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[seeded], help="draw a dataset from a true-model spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--out", default="data.csv")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("fit", parents=[seeded], help="constrained MLE at one width")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_COUNT, required=True)
     p.add_argument("--box", required=True)
     p.add_argument("--fit-config", default=None)
     p.add_argument("--spec", default=None, help="spec JSON supplying sigma2")
@@ -292,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--box", required=True)
     p.add_argument("--fit-config", default=None)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_COUNT, required=True)
     p.add_argument("--out", default="lr.json")
     p.set_defaults(fn=cmd_lr)
 
@@ -301,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--box", required=True)
     p.add_argument("--fit-config", default=None)
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_COUNT, required=True)
     p.add_argument("--schedule", default=None, help="schedule JSON (default: BIC-like)")
     p.add_argument("--out", default="select.json")
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("limit", parents=[seeded], help="simulate the limiting LR distribution")
     p.add_argument("--spec", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--draws", type=int, default=10_000)
+    p.add_argument("--k", type=_COUNT, required=True)
+    p.add_argument("--draws", type=_COUNT, default=10_000)
     p.add_argument("--extended-index-set", action="store_true",
                    help="include free-unit phi terms on a weight grid")
     p.add_argument("--box", default=None, help="box JSON bounding the extended weight grid (needs --extended-index-set)")
@@ -324,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference derivative check")
     p.add_argument("--spec", required=True)
-    p.add_argument("--k", type=int, default=None, help="fitted width (default k0+1)")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--k", type=_COUNT, default=None, help="fitted width (default k0+1)")
+    p.add_argument("--draws", type=_COUNT, default=100)
     p.add_argument("--out", default="gradcheck.json")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("experiment", parents=[seeded], help="replicated LR/selection experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
+    p.add_argument("--threads", type=_COUNT, default=1, help="worker processes for replicates")
     p.set_defaults(fn=cmd_experiment)
 
     return parser

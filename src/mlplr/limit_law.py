@@ -23,9 +23,9 @@ from .model import (
     ConstraintBox,
     RegressionSpec,
     augment,
+    _sigmoid,
     draw_inputs,
     stable_hash,
-    transfer_eval,
 )
 
 # ---------------------------------------------------------------------------
@@ -153,17 +153,22 @@ def eval_score_basis_batch(spec: RegressionSpec, X: np.ndarray, basis: ScoreBasi
     out = np.empty((n, basis.dim))
     out[:, 0] = 1.0
     for i, unit in enumerate(spec.theta0.units):
-        t = Xa @ unit.w
-        out[:, basis.phi_index(i)] = transfer_eval(t, 0)
-        d1 = transfer_eval(t, 1)
-        d2 = transfer_eval(t, 2)
+        # phi' and phi'' from one sigmoid, as transfer_eval forms them
+        s = _sigmoid(Xa @ unit.w)
+        out[:, basis.phi_index(i)] = s
+        d1 = s * (1.0 - s)
+        d2 = d1 * (1.0 - 2.0 * s)
         for l in range(spec.input_dim + 1):
             out[:, basis.dphi_index(i, l)] = Xa[:, l] * d1
         for l in range(spec.input_dim + 1):
             for m in range(l, spec.input_dim + 1):
                 out[:, basis.ddphi_index(i, l, m)] = Xa[:, l] * Xa[:, m] * d2
-    for j, w in enumerate(basis.extra_w):
-        out[:, basis.extra_index(j)] = transfer_eval(Xa @ np.asarray(w), 0)
+    if basis.extra_w:
+        # one sigmoid over every extra column's own Xa @ w, kept contiguous
+        args = np.empty((len(basis.extra_w), n))
+        for j, w in enumerate(basis.extra_w):
+            args[j] = Xa @ np.asarray(w)
+        out[:, basis.core_dim:] = _sigmoid(args).T
     return out
 
 
@@ -637,7 +642,10 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     ang = np.concatenate([_rank1_angles(a, trig), np.full((h.shape[0], 1), np.pi)], axis=1)
     Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
     num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
-    den = np.einsum("...ki,...ij,...kj->...k", Vc, B, Vc)
+    # v^T B v as the nine products (v_i B_ij) v_j in row-major order, the
+    # order of a three-operand einsum, at a third of its cost
+    Bk = B[..., None, :, :]
+    den = sum(Vc[..., i] * Bk[..., i, j] * Vc[..., j] for i in range(3) for j in range(3))
     return np.maximum((num * num / den).max(axis=1), 0.0)
 
 
@@ -783,16 +791,19 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
     free = np.ones(y.shape, dtype=bool)
     draws = np.arange(N)
     rows, picks = [], []
-    for _ in range(min(n_free, len(extra))):
+    n_pick = min(n_free, len(extra))
+    for step in range(n_pick):
         gain = np.divide(y * y, diag, out=np.full(y.shape, -np.inf), where=free & (diag > 0))
         j = np.argmax(gain, axis=1)
+        picks.append(j)
+        if step == n_pick - 1:  # nothing reads the last pick's update
+            break
         piv = np.sqrt(diag[draws, j])
         row = (C[j] - sum(r * r[draws, j, None] for r in rows)) / piv[:, None]
         y = y - row * (y[draws, j] / piv)[:, None]
         diag = diag - row * row
         free[draws, j] = False
         rows.append(row)
-        picks.append(j)
     chosen = np.zeros((N, len(picks), p))
     chosen[draws[:, None], np.arange(len(picks)), extra[np.stack(picks, axis=1)]] = 1.0
     return chosen
@@ -866,26 +877,53 @@ _ZIG_GUARD = 1e-12
 _DRAW_BLOCK = 2048
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state * _PCG_MULT + inc mod 2**128 on (hi, lo) uint64 words; the
-    high word of lo * _M_LO comes from its 32-bit halves."""
-    lo0, lo1 = lo & _LOW32, lo >> _U64(32)
-    mid = lo1 * _M_LO0 + (lo0 * _M_LO0 >> _U64(32))
-    mid2 = lo0 * _M_LO1 + (mid & _LOW32)
-    hi = lo1 * _M_LO1 + (mid >> _U64(32)) + (mid2 >> _U64(32)) + hi * _M_LO + lo * _M_HI + inc_hi
-    lo = lo * _M_LO + inc_lo
-    return hi + (lo < inc_lo), lo
-
-
 def _pcg_outputs(state, inc, out):
     """Writes the next outputs of every row's PCG64 to the columns of out
-    and returns the state after them."""
+    and returns the state after them; state itself is left alone.
+
+    Per column, the state (hi, lo) steps to state * _PCG_MULT + inc mod
+    2**128 and the XSL-RR output is read off it. The high word of
+    lo * _M_LO comes from 32-bit halves: with lo = lo1 2**32 + lo0, mid =
+    lo1 _M_LO0 + (lo0 _M_LO0 >> 32) and mid2 = lo0 _M_LO1 + (mid & _LOW32),
+    it is lo1 _M_LO1 + (mid >> 32) + (mid2 >> 32). Everything is computed
+    in place in a few uint64 words per row; the arithmetic wraps, so the
+    order of the sums does not matter."""
+    hi, lo = state[0].copy(), state[1].copy()
+    inc_hi, inc_lo = inc
+    a, b, c, d = (np.empty_like(lo) for _ in range(4))
+    carry = np.empty(lo.shape, bool)
     for j in range(out.shape[1]):
-        state = _pcg_step(*state, *inc)
-        hi, lo = state
-        xored, rot = hi ^ lo, hi >> _U64(58)
-        out[:, j] = xored >> rot | xored << ((_U64(64) - rot) & _U64(63))
-    return state
+        np.right_shift(lo, _U64(32), out=a)  # lo1
+        np.bitwise_and(lo, _LOW32, out=b)  # lo0
+        np.multiply(b, _M_LO0, out=c)
+        c >>= _U64(32)
+        np.multiply(a, _M_LO0, out=d)
+        c += d  # mid
+        b *= _M_LO1
+        np.bitwise_and(c, _LOW32, out=d)
+        b += d  # mid2
+        hi *= _M_LO
+        a *= _M_LO1
+        hi += a
+        c >>= _U64(32)
+        hi += c
+        b >>= _U64(32)
+        hi += b
+        np.multiply(lo, _M_HI, out=d)
+        hi += d
+        hi += inc_hi
+        lo *= _M_LO
+        lo += inc_lo
+        np.less(lo, inc_lo, out=carry)
+        hi += carry
+        np.bitwise_xor(hi, lo, out=a)  # the output: a rotated right by b
+        np.right_shift(hi, _U64(58), out=b)
+        np.subtract(_U64(64), b, out=c)
+        c &= _U64(63)
+        np.left_shift(a, c, out=c)
+        a >>= b
+        np.bitwise_or(a, c, out=out[:, j])
+    return hi, lo
 
 
 def _draw_from_outputs(gen, first: int, second: int = 0) -> tuple[float, int]:
@@ -899,12 +937,15 @@ def _draw_from_outputs(gen, first: int, second: int = 0) -> tuple[float, int]:
     high = (1 ^ first ^ second) & 1
     s2 = high << 64 | (second ^ high)
     inc = (s2 - s1 * _PCG_MULT) % 2**128
-    s0 = (s1 - inc) * _PCG_MULT_INV % 2**128
-    bits = gen.bit_generator
-    bits.state = {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    _set_pcg(gen, (s1 - inc) * _PCG_MULT_INV % 2**128, inc)
     value = gen.standard_normal()
-    state = bits.state["state"]["state"]
+    state = gen.bit_generator.state["state"]["state"]
     return value, 1 if state == s1 else 2 if state == s2 else 3
+
+
+def _set_pcg(gen, state: int, inc: int) -> None:
+    """Puts gen's PCG64 at the 128-bit state and increment, as seeded."""
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.cache
@@ -999,20 +1040,23 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
     (initseq << 1) | 1, then state = ((inc + initstate) * mult + inc).
     Rows whose first p outputs all take the ziggurat's fast path are
     decoded directly; the others get _ZIG_EXTRA more outputs and the
-    whole walk (_ziggurat_walk), and a row the walk cannot be sure of is
-    drawn by numpy itself.
+    whole walk (_ziggurat_walk). A row the walk cannot be sure of is
+    drawn by numpy itself, from that row's seeded PCG64 state set on one
+    Generator, made at the first such row; that skips a second
+    SeedSequence per row.
     """
     ki, wi, fi = _ziggurat_tables()
     ki, wi = np.concatenate([ki, ki]), np.concatenate([wi, -wi])
     words = _stream_words(seed, n)
     z = np.empty((n, p))
+    gen = None
     for start in range(0, n, _DRAW_BLOCK):
         w = words[start:start + _DRAW_BLOCK]
         inc = (w[:, 2] << _U64(1) | w[:, 3] >> _U64(63), w[:, 3] << _U64(1) | _U64(1))
         lo = inc[1] + w[:, 1]
-        state = _pcg_step(inc[0] + w[:, 0] + (lo < inc[1]), lo, *inc)
+        seeded = _pcg_outputs((inc[0] + w[:, 0] + (lo < inc[1]), lo), inc, np.empty((len(w), 1), np.uint64))
         buf = np.empty((len(w), p + _ZIG_EXTRA), np.uint64)
-        state = _pcg_outputs(state, inc, buf[:, :p])
+        state = _pcg_outputs(seeded, inc, buf[:, :p])
         block = z[start:start + len(w)]
         x, fast, _ = _ziggurat_decode(buf[:, :p], ki, wi)
         block[:] = x
@@ -1022,7 +1066,10 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
             _pcg_outputs([s[rows] for s in state], [c[rows] for c in inc], buf[:, p:])
             block[rows], bad = _ziggurat_walk(buf, p, ki, wi, fi)
             for i in rows[bad]:
-                block[i] = np.random.default_rng([seed, start + i]).standard_normal(p)
+                if gen is None:
+                    gen = np.random.Generator(np.random.PCG64(0))
+                _set_pcg(gen, int(seeded[0][i]) << 64 | int(seeded[1][i]), int(inc[0][i]) << 64 | int(inc[1][i]))
+                block[i] = gen.standard_normal(p)
     return z
 
 
@@ -1059,15 +1106,23 @@ class _SharedDraws:
     n_draws, amplitude signs): the linear-block value v_lin and residual h
     of the draws, each partition's per-draw value row and solver keyed
     (t, n_free), and the rank-one gains without extra columns keyed
-    (unit, sign). v_lin, h and the rows are read-only."""
+    (unit, sign). v_lin, h and the rows are read-only. h is computed on
+    first use: a call whose partitions are all linear (k = k0) reads only
+    v_lin."""
 
     def __init__(self, key: tuple, mx: _ConeMaximizer, g: np.ndarray):
         self.key = key
+        self._mx, self._g = mx, g
         self.v_lin = mx.linear_values(g)
-        self.h = mx.residual(g)
-        self.v_lin.flags.writeable = self.h.flags.writeable = False
+        self.v_lin.flags.writeable = False
         self.rows: dict[tuple, tuple[np.ndarray, str]] = {}
         self.gains: dict[tuple[int, float], np.ndarray] = {}
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        h = self._mx.residual(self._g)
+        h.flags.writeable = False
+        return h
 
 
 def _partition_row(
@@ -1075,11 +1130,13 @@ def _partition_row(
 ) -> tuple[np.ndarray, str]:
     """Per-draw value of one partition's cone, plus up to n_free greedy
     extra phi columns, and the solver that gave it."""
-    h, v_lin = shared.h, shared.v_lin
-    quad_units = cone.quad_units()
+    v_lin, quad_units = shared.v_lin, cone.quad_units()
+    if not quad_units and n_free == 0:
+        return v_lin, "linear"
+    h = shared.h
     fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
     if not quad_units:
-        return (v_lin if fixed is None else mx.values_with_columns(h, fixed[:, :0], v_lin, fixed)), "linear"
+        return mx.values_with_columns(h, fixed[:, :0], v_lin, fixed), "linear"
     if mx.basis.d == 1 and len(set(quad_units)) == 1:
         unit, sign = quad_units[0]
         row = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed, shared.gains)
@@ -1184,13 +1241,15 @@ def simulate_limit(
             shared.rows[part.t, n_free] = row, path
         per_part[pi], path = shared.rows[part.t, n_free]
         paths.append(path)
+    np.max(per_part, axis=0, out=values)
     best_idx = np.argmax(per_part, axis=0)
-    values[:] = per_part[best_idx, np.arange(n_draws)]
-    ts = [part.t for part in partitions]
+    ts = np.empty(len(partitions), dtype=object)
+    for pi, part in enumerate(partitions):
+        ts[pi] = part.t
     return LimitSample(
         values=values,
         k=k,
-        best_partition=[ts[i] for i in best_idx.tolist()],
+        best_partition=ts[best_idx].tolist(),
         path=np.array(paths)[best_idx],
         extended=extended,
     )

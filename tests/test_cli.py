@@ -212,6 +212,35 @@ class TestSelectAndLimit:
             run([*args[:1], "--spec", workdir / "spec.json", *args[1:], "--out-dir", workdir])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["gen", "--spec", "S", "--n", 0], ["gen", "--spec", "S", "--n", 10, "--seed", -3],
+         ["fit", "--data", "D", "--box", "B", "--k", 1, "--seed", -3],
+         ["fit", "--data", "D", "--box", "B", "--k", 0],
+         ["lr", "--data", "D", "--spec", "S", "--box", "B", "--k", 0],
+         ["select", "--data", "D", "--spec", "S", "--box", "B", "--k-max", 0],
+         ["limit", "--spec", "S", "--k", 1, "--seed", -3], ["limit", "--spec", "S", "--k", 0],
+         ["limit", "--spec", "S", "--k", 1, "--draws", -5], ["limit", "--spec", "S", "--k", 1, "--draws", 0],
+         ["limit", "--spec", "S", "--k", 1, "--draws", "many"],
+         ["gradcheck", "--spec", "S", "--k", 0], ["gradcheck", "--spec", "S", "--draws", 0],
+         ["experiment", "--config", "C", "--threads", 0]],
+        ids=["gen_n_0", "gen_seed_neg", "fit_seed_neg", "fit_k_0", "lr_k_0", "select_k_max_0", "limit_seed_neg",
+             "limit_k_0", "limit_draws_neg", "limit_draws_0", "limit_draws_not_int", "gradcheck_k_0",
+             "gradcheck_draws_0", "experiment_threads_0"],
+    )
+    def test_count_or_seed_out_of_range_is_usage_error(self, workdir, args, capsys):
+        """Counts must be at least 1 and seeds at least 0. They fail at
+        parse time, before any input is read or output written; some used
+        to end in a traceback, a fit or limit failure, or a header-only
+        limit.csv."""
+        names = {"S": "spec.json", "D": "data.csv", "B": "box.json", "C": "config.json"}
+        with pytest.raises(SystemExit) as exc:
+            run([workdir / names[a] if a in names else a for a in args] + ["--out-dir", workdir])
+        assert exc.value.code == 2
+        option = next(a for a in reversed(args) if isinstance(a, str) and a.startswith("--"))
+        assert f"argument {option}:" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["box.json", "fit.json", "spec.json"]
+
     def test_box_without_extended_index_set_is_config_error(self, workdir):
         """The box bounds only the extended grid; a path never read used to pass."""
         code = run(["limit", "--spec", workdir / "spec.json", "--k", 1, "--draws", 10,

@@ -235,6 +235,12 @@ class TestFdCheck:
         assert report["max_rel_error_first"] <= 1e-5
         assert report["max_rel_error_second"] > 1e-4
 
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_gradcheck_needs_a_draw(self, desk_spec, n_draws):
+        """No draw checks nothing; it used to report an error of 0.0."""
+        with pytest.raises(ValueError, match="n_draws"):
+            gradcheck(desk_spec, k=2, n_draws=n_draws)
+
     def test_non_unit_variance_catalog(self):
         """The squared-score coefficient generalizes to e^2 - 1/sigma2."""
         theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])

@@ -852,6 +852,27 @@ class TestGramMemo:
         assert core._memo["draws"][0] == 6 and core._memo["shared"].key[0] == 6
 
 
+    def test_k0_call_never_computes_the_residual(self, desk_spec, monkeypatch):
+        """At k = k0 every partition is linear, so only v_lin is read; the
+        first call that needs the residual h computes it, once."""
+        residual = _ConeMaximizer.residual
+        made = []
+
+        def refuse(self, g):
+            raise AssertionError("residual computed")
+
+        def count(self, g):
+            made.append(g.shape)
+            return residual(self, g)
+
+        gram = gram_matrix_gh(desk_spec)
+        monkeypatch.setattr(_ConeMaximizer, "residual", refuse)
+        simulate_limit(desk_spec, 1, gram, 1000, seed=5)
+        monkeypatch.setattr(_ConeMaximizer, "residual", count)
+        simulate_limit(desk_spec, 2, gram, 1000, seed=5)
+        assert made == [(1000, gram.basis.dim)]
+
+
 class TestExactConeD1:
     """The d = 1 closed forms against a dense search over the columns the
     fallback search would use, scored without a ridge; on the extended
