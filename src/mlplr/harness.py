@@ -300,7 +300,7 @@ def gradcheck(
     Each draw picks a partition of k units, positive within-group
     fractions, and an observation from the true law, then compares every
     analytic first and second derivative with central differences.
-    n_draws must be at least 1: no draw would certify nothing.
+    n_draws must be at least 1: with no draw there is nothing to compare.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")

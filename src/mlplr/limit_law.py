@@ -22,8 +22,8 @@ import numpy as np
 from .model import (
     ConstraintBox,
     RegressionSpec,
-    augment,
     _sigmoid,
+    augment,
     draw_inputs,
     stable_hash,
 )
