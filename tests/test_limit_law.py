@@ -851,7 +851,6 @@ class TestGramMemo:
         assert [ref() for ref in old] == [None, None]
         assert core._memo["draws"][0] == 6 and core._memo["shared"].key[0] == 6
 
-
     def test_k0_call_never_computes_the_residual(self, desk_spec, monkeypatch):
         """At k = k0 every partition is linear, so only v_lin is read; the
         first call that needs the residual h computes it, once."""
