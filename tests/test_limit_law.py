@@ -599,6 +599,26 @@ class TestSimulateLimit:
             values = simulate_limit(desk_spec, k, gram, 500, seed=71, extended=True).values
             assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
 
+    @pytest.mark.parametrize("k, extended, partitions, paths", [
+        (1, False, "e76272a899696f4399f2ca083ea8a8f241a54e45670df74ec7cd88690c30886f",
+         "1d39fc78b308893b692c5a24c605a26b4321cd71fe0d6f32157cff1b25a78143"),
+        (2, False, "ebfa1cb7535f60b44f35b24a35f566494e44cc1619d118ac61290e01efb8ef67",
+         "66a90a6265c4a5858dabd7c0686d2edd28dc2ed116087642fd82be189467c49a"),
+        (3, False, "c36939ca161f874a6814d1fe59eabcef7163979af7324980900e106596020188",
+         "bc8bd5c2c69be8580d64da0c294f9702f5b7aabbd7b1b758c0ce73ff63c7221b"),
+        (2, True, "6c40fabebddbf29b4cbe26f3aa71670d339f2c347d299c8468d1840d8a79e031",
+         "e1809ec697a4c0ea9a3b517da9f916e1b902bcf963d7022719982c8589a40379"),
+        (3, True, "6643932ce89e10eb2c9f2c1464afd63307f757facfd593802734951a71ecd21c",
+         "ecd4937018f3d6d99a336d58d190d906c9884429145470d8fe9fc4e134ce2851"),
+    ], ids=["k1", "k2", "k3", "k2ext", "k3ext"])
+    def test_desk_winners_match_recorded(self, desk_spec, desk_box, k, extended, partitions, paths):
+        """sha256 of best_partition and path, as JSON lists, for the draws
+        whose values the three tests above pin."""
+        basis = ScoreBasis(1, 1, extended_grid(desk_box, 1)) if extended else None
+        sample = simulate_limit(desk_spec, k, gram_matrix_gh(desk_spec, basis), 500, seed=71, extended=extended)
+        assert hashlib.sha256(json.dumps(sample.best_partition).encode()).hexdigest() == partitions
+        assert hashlib.sha256(json.dumps(sample.path.tolist()).encode()).hexdigest() == paths
+
     def test_determinism(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
         a = simulate_limit(desk_spec, 2, gram, 100, seed=41)
