@@ -8,7 +8,8 @@ Exit codes:
   0  success;
   2  a configuration input (spec, box, fit config, schedule, dataset or
      experiment config) cannot be read, parsed or validated, or an
-     option comes without the one it needs; or the command line does not
+     option comes without the one it needs, or a --k of limit or
+     gradcheck is below the spec's k0; or the command line does not
      parse, which includes a count (--n, --k, --k-max, --draws,
      --threads) below 1 and a --seed below 0;
   3  a fit failed; for experiment, a replicate cell failed or the run
@@ -180,10 +181,13 @@ def cmd_select(args) -> int:
 
 def cmd_limit(args) -> int:
     spec = _load(RegressionSpec, args.spec)
+    if args.k < spec.k0:
+        raise ConfigError(f"--k {args.k} is below the spec's k0 = {spec.k0}")
     seed = args.seed if args.seed is not None else 0
-    basis = None
+    basis, index_set = None, {"extended": args.extended_index_set}
     if args.extended_index_set:
         box = _load(ConstraintBox, args.box) if args.box else ConstraintBox(0.1, 50.0)
+        index_set["box"] = box.to_dict()
         try:
             basis = ScoreBasis(spec.k0, spec.input_dim, extended_grid(box, spec.input_dim))
         except ValueError as exc:
@@ -195,8 +199,9 @@ def cmd_limit(args) -> int:
         sample = simulate_limit(spec, args.k, gram, args.draws, seed, extended=args.extended_index_set)
     except Exception as exc:
         raise LimitError(str(exc)) from exc
-    tag = stable_hash({"spec": spec.to_dict(), "k": args.k, "draws": args.draws, "seed": seed})
-    sample.to_csv(_out_path(args, args.out), header_comment=f"config_hash={tag} seed={seed}")
+    tag = stable_hash({"spec": spec.to_dict(), "k": args.k, "draws": args.draws, "seed": seed, "index_set": index_set})
+    header = f"config_hash={tag} seed={seed} index_set={json.dumps(index_set, separators=(',', ':'))}"
+    sample.to_csv(_out_path(args, args.out), header_comment=header)
     stats = summarize(sample.values)
     print(
         f"limit sample k={args.k}: mean={stats.mean:.4f} "
@@ -231,6 +236,8 @@ def cmd_check_h4(args) -> int:
 def cmd_gradcheck(args) -> int:
     spec = _load(RegressionSpec, args.spec)
     k = args.k if args.k is not None else spec.k0 + 1
+    if k < spec.k0:
+        raise ConfigError(f"--k {k} is below the spec's k0 = {spec.k0}")
     seed = args.seed if args.seed is not None else 0
     report = gradcheck(spec, k, n_draws=args.draws, seed=seed)
     report["config_hash"] = stable_hash(spec.to_dict())

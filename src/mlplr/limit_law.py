@@ -131,11 +131,6 @@ class ScoreBasis:
         offset = l * (self.d + 1) - l * (l - 1) // 2 + (m - l)
         return self.n_linear + i * self.n_pairs + offset
 
-    def extra_index(self, j: int) -> int:
-        if not 0 <= j < len(self.extra_w):
-            raise ValueError(f"extra column {j} out of range")
-        return self.core_dim + j
-
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.k0:
             raise ValueError(f"unit index {i} out of range 0..{self.k0 - 1}")
@@ -518,21 +513,23 @@ class _ConeMaximizer:
         """Best value per draw given per-draw sign-constrained columns.
 
         g is the residual h (N, p) of ``residual``, cols (N, R, p), and
-        extras (N, m, p), if given, sign-free columns that enter every
-        active subset. The value is v_lin plus the largest
-        h_S^T (T_SS + ridge I)^-1 h_S over the active subsets S (the
-        extras plus any of the 2^R subsets of cols) whose coefficients on
-        cols are all non-negative (R is at most a few at desk scale). This
-        is the Schur complement of the block system with the linear block,
-        so the values are those of the full (n_lin + |S|)-dimensional
-        solve.
+        extras (N, m), if given, the basis indices of sign-free unit
+        columns that enter every active subset (_greedy_extra_columns).
+        The value is v_lin plus the largest h_S^T (T_SS + ridge I)^-1 h_S
+        over the active subsets S (the extras plus any of the 2^R subsets
+        of cols) whose coefficients on cols are all non-negative (R is at
+        most a few at desk scale). This is the Schur complement of the
+        block system with the linear block, so the values are those of the
+        full (n_lin + |S|)-dimensional solve. Extras alone are gathered
+        from h and T; beside cols they enter as unit columns, because the
+        bits of the product cols @ T depend on its number of columns.
         """
         m = 0 if extras is None else extras.shape[1]
-        if m:
-            cols = np.concatenate([extras, cols], axis=1)
-        R = cols.shape[1] - m
-        y = np.einsum("nrp,np->nr", cols, g)
-        C = np.einsum("nrp,nsp->nrs", cols @ self.T, cols)
+        R = cols.shape[1]
+        if m and R:
+            cols = np.concatenate([np.eye(g.shape[1])[extras], cols], axis=1)
+        y = np.einsum("nrp,np->nr", cols, g) if R else np.take_along_axis(g, extras, 1)
+        C = np.einsum("nrp,nsp->nrs", cols @ self.T, cols) if R else self.T[extras[:, :, None], extras[:, None]]
         best = v_lin.copy()
         for mask in range(0 if m else 1, 2**R):
             sel = list(range(m)) + [m + r for r in range(R) if mask >> r & 1]
@@ -685,10 +682,9 @@ def _exact_partition_d1(
     T = mx.T[np.ix_(q_idx, q_idx)]
     h_q = h[:, q_idx]
     if extras is not None:
-        ET = extras @ mx.T
-        C = np.einsum("nrp,nsp->nrs", ET, extras) + mx.ridge * np.eye(extras.shape[1])
-        y = np.einsum("nrp,np->nr", extras, h)
-        T_eq = ET[:, :, q_idx]
+        C = mx.T[extras[:, :, None], extras[:, None]] + mx.ridge * np.eye(extras.shape[1])
+        y = np.take_along_axis(h, extras, 1)
+        T_eq = mx.T[extras[:, :, None], q_idx]
         sol = np.linalg.solve(C, np.concatenate([y[..., None], T_eq], axis=2))  # C^-1 [y_E, T_EQ]
         v_lin = v_lin + np.einsum("nr,nr->n", y, sol[:, :, 0])
         h_q = h_q - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
@@ -780,16 +776,16 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
     process left over once the columns chosen so far are removed. Each
     step takes the largest gain per draw; the chosen column's row of the
     pivoted Cholesky factor then updates y and the diagonal of C, so every
-    array is (N, J). Returns per-draw unit columns (N, chosen, p), for
-    the solvers to take sign-free.
+    array is (N, J). Returns the chosen columns' basis indices (N, chosen),
+    for the solvers to take sign-free and gather from h and T.
     """
-    N, p = h.shape
-    extra = mx.basis.core_dim + np.arange(len(mx.basis.extra_w))
-    C = mx.T[np.ix_(extra, extra)] + mx.ridge * np.eye(len(extra))
-    y = h[:, extra]
-    diag = np.tile(np.diag(C), (N, 1))
+    core = mx.basis.core_dim
+    extra = core + np.arange(len(mx.basis.extra_w))
+    C = mx.T[core:, core:] + mx.ridge * np.eye(len(extra))
+    y = h[:, core:]
+    diag = np.broadcast_to(np.diag(C), y.shape)
     free = np.ones(y.shape, dtype=bool)
-    draws = np.arange(N)
+    draws = np.arange(len(h))
     rows, picks = [], []
     n_pick = min(n_free, len(extra))
     for step in range(n_pick):
@@ -804,9 +800,7 @@ def _greedy_extra_columns(mx: _ConeMaximizer, h: np.ndarray, n_free: int) -> np.
         diag = diag - row * row
         free[draws, j] = False
         rows.append(row)
-    chosen = np.zeros((N, len(picks), p))
-    chosen[draws[:, None], np.arange(len(picks)), extra[np.stack(picks, axis=1)]] = 1.0
-    return chosen
+    return extra[np.stack(picks, axis=1)]
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): pool of four
@@ -867,14 +861,14 @@ _PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
 _U64 = np.uint64
 _M_HI, _M_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _M_LO0, _M_LO1 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64(_PCG_MULT >> 32 & 0xFFFFFFFF)
-_LOW32, _LOW52 = _U64(0xFFFFFFFF), _U64(2**52 - 1)
+_LOW32 = _U64(0xFFFFFFFF)
 # raw outputs beyond p in the buffer of a row that takes a slow variate
 _ZIG_EXTRA = 4
 # wedge comparisons closer than this (relative) are left to numpy: the
 # recovered fi and np.exp may each be a few ulps off numpy's own
 _ZIG_GUARD = 1e-12
 # rows generated at once, which bounds the (rows, p) uint64 temporaries
-_DRAW_BLOCK = 2048
+_DRAW_BLOCK = 4096
 
 
 def _pcg_outputs(state, inc, out):
@@ -885,11 +879,12 @@ def _pcg_outputs(state, inc, out):
     2**128 and the XSL-RR output is read off it. The high word of
     lo * _M_LO comes from 32-bit halves: with lo = lo1 2**32 + lo0, mid =
     lo1 _M_LO0 + (lo0 _M_LO0 >> 32) and mid2 = lo0 _M_LO1 + (mid & _LOW32),
-    it is lo1 _M_LO1 + (mid >> 32) + (mid2 >> 32). Everything is computed
-    in place in a few uint64 words per row; the arithmetic wraps, so the
-    order of the sums does not matter."""
-    hi, lo = state[0].copy(), state[1].copy()
-    inc_hi, inc_lo = inc
+    it is lo1 _M_LO1 + (mid >> 32) + (mid2 >> 32). The (hi, lo) words of
+    state and inc step as one (2, n) array, in place; the arithmetic wraps,
+    so the order of the sums does not matter, and numpy's shift by 64 (the
+    rotation's left shift at r = 0) gives 0."""
+    state, inc = np.array(state), np.asarray(inc)
+    hi, lo = state
     a, b, c, d = (np.empty_like(lo) for _ in range(4))
     carry = np.empty(lo.shape, bool)
     for j in range(out.shape[1]):
@@ -902,28 +897,25 @@ def _pcg_outputs(state, inc, out):
         b *= _M_LO1
         np.bitwise_and(c, _LOW32, out=d)
         b += d  # mid2
-        hi *= _M_LO
         a *= _M_LO1
-        hi += a
         c >>= _U64(32)
-        hi += c
+        a += c
         b >>= _U64(32)
-        hi += b
+        a += b  # the high word of lo * _M_LO
         np.multiply(lo, _M_HI, out=d)
+        state *= _M_LO
+        state += inc
+        hi += a
         hi += d
-        hi += inc_hi
-        lo *= _M_LO
-        lo += inc_lo
-        np.less(lo, inc_lo, out=carry)
+        np.less(lo, inc[1], out=carry)
         hi += carry
         np.bitwise_xor(hi, lo, out=a)  # the output: a rotated right by b
         np.right_shift(hi, _U64(58), out=b)
         np.subtract(_U64(64), b, out=c)
-        c &= _U64(63)
         np.left_shift(a, c, out=c)
         a >>= b
         np.bitwise_or(a, c, out=out[:, j])
-    return hi, lo
+    return state
 
 
 def _draw_from_outputs(gen, first: int, second: int = 0) -> tuple[float, int]:
@@ -991,45 +983,46 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _ziggurat_decode(r, ki, wi):
     """Per raw output: the candidate x, whether it is taken at once, and its
-    layer. ki and wi are indexed by idx | sign << 8, wi signed."""
-    idx = (r & _U64(0x1FF)).astype(np.uint16)
-    rabs = r >> _U64(9) & _LOW52
-    return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx & np.uint16(0xFF)
+    index idx | sign << 8 (layer idx) into ki (as int64) and wi (signed)."""
+    idx = (r & _U64(0x1FF)).astype(np.intp)
+    rabs = (r >> _U64(9)).view(np.int64) & 2**52 - 1
+    return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx
 
 
-def _ziggurat_walk(buf, p, ki, wi, fi):
-    """numpy's random_standard_normal over each row's raw outputs: the
-    first p normals (m, p), and the rows it cannot be sure of.
+def _ziggurat_walk(buf, x, fast, idx, p, fi):
+    """numpy's random_standard_normal over each row's raw outputs buf, of
+    which x, fast and idx are the decode: the first p normals (m, p), and
+    the rows it cannot be sure of.
 
     A slow candidate in layer idx >= 1 reads u from the next output and is
     taken iff (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2); taken or
     not, the next candidate starts two outputs on. A row is unsure if a
     candidate it needs is in the tail layer (idx 0) or has its comparison
     within _ZIG_GUARD, or if its buffer ends before p are taken (a slow
-    candidate in the last column is never taken).
+    candidate in the last column is never taken); its row is a placeholder.
     """
     m, width = buf.shape
-    x, fast, idx = _ziggurat_decode(buf, ki, wi)
     slow, taken = ~fast, fast
-    unsure = slow & (idx == 0)
-    r, q = np.nonzero(slow[:, :-1] & ~unsure[:, :-1])
-    layer = idx[r, q].astype(np.intp)
-    u = (buf[r, q + 1] >> _U64(11)).astype(np.float64) * 2.0**-53
+    unsure = slow & ((idx & 0xFF) == 0)
+    f = np.flatnonzero(slow & ~unsure & (np.arange(width) < width - 1))  # the wedge tests
+    layer = idx.ravel()[f] & 0xFF
+    u = (buf.ravel()[f + 1] >> _U64(11)).astype(np.float64) * 2.0**-53
     lhs = (fi[layer - 1] - fi[layer]) * u + fi[layer]
-    rhs = np.exp(-0.5 * x[r, q] * x[r, q])
-    unsure[r, q] = np.abs(lhs - rhs) <= _ZIG_GUARD * rhs
-    taken[r, q] = lhs < rhs
+    xf = x.ravel()[f]
+    rhs = np.exp(-0.5 * xf * xf)
+    unsure.ravel()[f] = np.abs(lhs - rhs) <= _ZIG_GUARD * rhs
+    taken.ravel()[f] = lhs < rhs
     starts = np.empty((m, width), bool)
     starts[:, 0] = True
     for c in range(1, width):
         np.logical_not(starts[:, c - 1] & slow[:, c - 1], out=starts[:, c])
     taken &= starts
     count = np.cumsum(taken, axis=1)
-    before = count - taken
-    bad = (starts & (before < p) & unsure).any(axis=1) | (count[:, -1] < p)
-    z = np.empty((m, p))
-    z[~bad] = x[~bad][(taken & (before < p))[~bad]].reshape(-1, p)
-    return z, bad
+    early = count - taken < p
+    bad = (starts & early & unsure).any(axis=1) | (count[:, -1] < p)
+    keep = taken & early
+    keep[bad] = np.arange(width) < p  # placeholders: numpy draws these rows
+    return x[keep].reshape(m, p), bad
 
 
 def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
@@ -1046,25 +1039,26 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
     SeedSequence per row.
     """
     ki, wi, fi = _ziggurat_tables()
-    ki, wi = np.concatenate([ki, ki]), np.concatenate([wi, -wi])
+    ki, wi = np.concatenate([ki, ki]).view(np.int64), np.concatenate([wi, -wi])
     words = _stream_words(seed, n)
     z = np.empty((n, p))
     gen = None
     for start in range(0, n, _DRAW_BLOCK):
         w = words[start:start + _DRAW_BLOCK]
-        inc = (w[:, 2] << _U64(1) | w[:, 3] >> _U64(63), w[:, 3] << _U64(1) | _U64(1))
+        inc = np.stack([w[:, 2] << _U64(1) | w[:, 3] >> _U64(63), w[:, 3] << _U64(1) | _U64(1)])
         lo = inc[1] + w[:, 1]
         seeded = _pcg_outputs((inc[0] + w[:, 0] + (lo < inc[1]), lo), inc, np.empty((len(w), 1), np.uint64))
-        buf = np.empty((len(w), p + _ZIG_EXTRA), np.uint64)
-        state = _pcg_outputs(seeded, inc, buf[:, :p])
+        buf = np.empty((len(w), p), np.uint64)
+        state = _pcg_outputs(seeded, inc, buf)
         block = z[start:start + len(w)]
-        x, fast, _ = _ziggurat_decode(buf[:, :p], ki, wi)
-        block[:] = x
-        rows = np.flatnonzero(~fast.all(axis=1))
+        head = _ziggurat_decode(buf, ki, wi)
+        block[:] = head[0]
+        rows = np.flatnonzero(~head[1].all(axis=1))
         if rows.size:
-            buf = buf[rows]
-            _pcg_outputs([s[rows] for s in state], [c[rows] for c in inc], buf[:, p:])
-            block[rows], bad = _ziggurat_walk(buf, p, ki, wi, fi)
+            tail = np.empty((rows.size, _ZIG_EXTRA), np.uint64)
+            _pcg_outputs(state[:, rows], inc[:, rows], tail)
+            walk = [np.concatenate([a[rows], b], axis=1) for a, b in zip((buf, *head), (tail, *_ziggurat_decode(tail, ki, wi)))]
+            block[rows], bad = _ziggurat_walk(*walk, p, fi)
             for i in rows[bad]:
                 if gen is None:
                     gen = np.random.Generator(np.random.PCG64(0))
@@ -1136,7 +1130,7 @@ def _partition_row(
     h = shared.h
     fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
     if not quad_units:
-        return mx.values_with_columns(h, fixed[:, :0], v_lin, fixed), "linear"
+        return mx.values_with_columns(h, np.empty((len(h), 0, h.shape[1])), v_lin, fixed), "linear"
     if mx.basis.d == 1 and len(set(quad_units)) == 1:
         unit, sign = quad_units[0]
         row = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed, shared.gains)
@@ -1243,13 +1237,11 @@ def simulate_limit(
         paths.append(path)
     np.max(per_part, axis=0, out=values)
     best_idx = np.argmax(per_part, axis=0)
-    ts = np.empty(len(partitions), dtype=object)
-    for pi, part in enumerate(partitions):
-        ts[pi] = part.t
+    ts = np.fromiter((part.t for part in partitions), object, len(partitions))
     return LimitSample(
         values=values,
         k=k,
-        best_partition=ts[best_idx].tolist(),
+        best_partition=[ts[0]] * n_draws if len(ts) == 1 else ts[best_idx].tolist(),
         path=np.array(paths)[best_idx],
         extended=extended,
     )

@@ -198,6 +198,38 @@ class TestSelectAndLimit:
             paths = {line.rsplit(",", 1)[1] for line in lines[2:]}
             assert paths and "search" not in paths, k
 
+    def test_index_set_enters_the_hash_and_header(self, workdir):
+        """A core and an extended sample of one spec, width, seed and draw
+        count used to share one config_hash."""
+        (workdir / "box_45.json").write_text(json.dumps({"eta": 0.1, "M": 45.0}))
+        headers = []
+        for flags in ([], ["--extended-index-set"], ["--extended-index-set", "--box", workdir / "box_45.json"]):
+            assert run(["limit", "--spec", workdir / "spec.json", "--k", 2, "--draws", 20, "--seed", 5,
+                        *flags, "--out", "limit.csv", "--out-dir", workdir]) == 0
+            headers.append((workdir / "limit.csv").read_text().splitlines()[0])
+        assert headers[0].endswith(' index_set={"extended":false}')
+        assert headers[2].endswith(' index_set={"extended":true,"box":{"eta":0.1,"M":45.0,"positive_amplitudes":true}}')
+        assert len({h.split()[1] for h in headers}) == 3, headers
+
+    @pytest.mark.parametrize("command", ["limit", "gradcheck"])
+    def test_width_below_k0_is_config_error(self, workdir, command, monkeypatch, capsys):
+        """On a two-unit spec, --k 1 used to end in a traceback (gradcheck)
+        or a limit-law failure (limit). It is a configuration error, found
+        before any Gram is built or derivative checked."""
+        spec = RegressionSpec.from_dict({**json.loads((workdir / "spec.json").read_text()), "theta0": {
+            "beta": 0.5, "units": [{"a": 1.0, "w": [2.7, -2.8]}, {"a": 1.5, "w": [-2.6, -2.8]}]}})
+        (workdir / "k0_2.json").write_text(json.dumps(spec.to_dict()))
+
+        def never(*args, **kwargs):
+            raise AssertionError("reached")
+
+        monkeypatch.setattr(mlplr.cli, "default_gram", never)
+        monkeypatch.setattr(mlplr.cli, "gradcheck", never)
+        code = run([command, "--spec", workdir / "k0_2.json", "--k", 1, "--draws", 10, "--out-dir", workdir])
+        assert code == 2
+        assert "--k 1 is below the spec's k0 = 2" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["box.json", "fit.json", "k0_2.json", "spec.json"]
+
     @pytest.mark.parametrize(
         "args",
         [["limit", "--k", 1, "--gram-mode", "mc"], ["limit", "--k", 1, "--gram-draws", 10],

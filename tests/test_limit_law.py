@@ -109,19 +109,25 @@ def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
     return best
 
 
-def _oriented(mx, h, chosen):
-    """The greedy extra phi columns chosen (N, m, p), oriented as
-    _greedy_extra_columns once returned them for a partition without
-    quadratic directions to score sign-constrained: each by the sign of
-    its coefficient in the draw's fit on all chosen columns."""
-    N, m, _ = chosen.shape
+def _one_hot(idx, p):
+    """Unit columns (N, m, p) at the basis indices idx (N, m)."""
+    N, m = idx.shape
+    out = np.zeros((N, m, p))
+    out[np.arange(N)[:, None], np.arange(m), idx] = 1.0
+    return out
+
+
+def _oriented(mx, h, idx):
+    """The greedy extra phi columns at the basis indices idx (N, m), as
+    unit columns (N, m, p) oriented as _greedy_extra_columns once returned
+    them for a partition without quadratic directions to score
+    sign-constrained: each by the sign of its coefficient in the draw's
+    fit on all chosen columns."""
+    N, m = idx.shape
     draws = np.arange(N)[:, None]
-    idx = chosen.argmax(axis=2)
     C = mx.T[idx[:, :, None], idx[:, None, :]] + mx.ridge * np.eye(m)
     b = np.linalg.solve(C, h[draws, idx, None])[..., 0]
-    out = np.zeros_like(chosen)
-    out[draws, np.arange(m), idx] = np.where(b < -1e-12, -1.0, 1.0)
-    return out
+    return _one_hot(idx, h.shape[1]) * np.where(b < -1e-12, -1.0, 1.0)[..., None]
 
 
 def _frozen_signed_extras_sample(spec, k, gram, n, seed):
@@ -137,9 +143,9 @@ def _frozen_signed_extras_sample(spec, k, gram, n, seed):
     for part in enumerate_partitions(k, spec.k0):
         quad_units = ConeSpec(part, gram.basis, signs).quad_units()
         n_free = k - part.total_units
-        fixed = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free)) if n_free > 0 else None
+        fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
         if not quad_units:
-            rows.append(v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin))
+            rows.append(v_lin if fixed is None else mx.values_with_columns(h, _oriented(mx, h, fixed), v_lin))
             paths.append("linear")
         elif gram.basis.d == 1 and len(set(quad_units)) == 1:
             rows.append(_exact_partition_d1(mx, h, v_lin, *quad_units[0], len(quad_units), fixed, gains))
@@ -1005,7 +1011,7 @@ class TestExactConeD1:
             best = np.zeros((N, m + 1, p))
             for j in range(n_extra):
                 col = np.zeros((N, 1, p))
-                col[:, 0, basis.extra_index(j)] = 1.0
+                col[:, 0, basis.core_dim + j] = 1.0
                 for signs in patterns:
                     cols = np.concatenate([chosen, col], axis=1)
                     cols[:, m + 1 - len(signs):] *= signs[:, None]
@@ -1286,10 +1292,11 @@ class TestSignFreeExtras:
         g = _desk_draws(gram, 200, seed=83)
         h = mx.residual(g)
         v_lin = mx.linear_values(g)
-        extras = _oriented(mx, h, _greedy_extra_columns(mx, h, 2))
+        chosen = _greedy_extra_columns(mx, h, 2)
+        extras = _oriented(mx, h, chosen)
         rng = np.random.default_rng(89)
         cols = np.stack([_direction_columns(gram.basis, u, 1.0, rng.standard_normal((200, 3))) for u in (0, 1)], axis=1)
-        got = mx.values_with_columns(h, cols, v_lin, extras)
+        got = mx.values_with_columns(h, cols, v_lin, chosen)
         fixed = {}
         for signs in itertools.product((1.0, -1.0), repeat=2):
             cols_s = np.concatenate([extras * np.array(signs)[None, :, None], cols], axis=1)
@@ -1318,3 +1325,88 @@ class TestSignFreeExtras:
         np.testing.assert_array_equal(sample.values, values)
         np.testing.assert_array_equal(sample.path, path)
         assert "linear" in set(path)  # the sign-free scoring decides some draws
+
+
+def _one_hot_values_with_columns(mx, g, cols, v_lin, extras):
+    """Frozen copy of _ConeMaximizer.values_with_columns when the greedy
+    extra columns came as unit columns extras (N, m, p): their products
+    with g and T were matrix products."""
+    m = extras.shape[1]
+    cols = np.concatenate([extras, cols], axis=1)
+    R = cols.shape[1] - m
+    y = np.einsum("nrp,np->nr", cols, g)
+    C = np.einsum("nrp,nsp->nrs", cols @ mx.T, cols)
+    best = v_lin.copy()
+    for mask in range(2**R):
+        sel = list(range(m)) + [m + r for r in range(R) if mask >> r & 1]
+        A = C[:, sel][:, :, sel] + mx.ridge * np.eye(len(sel))
+        b = np.linalg.solve(A, y[:, sel, None])[..., 0]
+        val = v_lin + np.einsum("nj,nj->n", b, y[:, sel])
+        feasible = np.all(b[:, m:] >= -1e-12, axis=1)
+        np.maximum(best, np.where(feasible, val, -np.inf), out=best)
+    return best
+
+
+def _one_hot_exact_partition_d1(mx, h, v_lin, unit, sign, budget, extras):
+    """Frozen copy of _exact_partition_d1 when the extra columns came as
+    unit columns extras (N, m, p), multiplied into T and h."""
+    b = mx.basis
+    q_idx = [b.ddphi_index(unit, 0, 0), b.ddphi_index(unit, 0, 1), b.ddphi_index(unit, 1, 1)]
+    ET = extras @ mx.T
+    C = np.einsum("nrp,nsp->nrs", ET, extras) + mx.ridge * np.eye(extras.shape[1])
+    y = np.einsum("nrp,np->nr", extras, h)
+    T_eq = ET[:, :, q_idx]
+    sol = np.linalg.solve(C, np.concatenate([y[..., None], T_eq], axis=2))
+    v_lin = v_lin + np.einsum("nr,nr->n", y, sol[:, :, 0])
+    h_q = h[:, q_idx] - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
+    T = mx.T[np.ix_(q_idx, q_idx)] - np.einsum("nri,nrj->nij", T_eq, sol[:, :, 1:])
+    gain = mlplr.limit_law._rank1_gain_d1(h_q, T, sign)
+    if budget == 2:
+        q = np.linalg.solve(T, h_q[..., None])[..., 0]
+        A = sign * q
+        psd = (A[:, 0] >= 0) & (A[:, 2] >= 0) & (A[:, 0] * A[:, 2] >= 0.25 * A[:, 1] ** 2)
+        gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h_q, q)), gain)
+    return v_lin + gain
+
+
+class TestUnitColumnIndices:
+    """The greedy extra columns travel as basis indices; the solvers gather
+    rows of T and entries of h where they once multiplied unit columns
+    into them, and every value keeps the unit columns' bits."""
+
+    N = 200
+
+    @pytest.fixture(scope="class", params=["d1_gh", "d2_mc"])
+    def setup(self, request, desk_spec, desk_box):
+        if request.param == "d1_gh":
+            gram = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
+        else:
+            spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5]))]), 1.0, 2, input_law="laplace")
+            gram = gram_matrix(spec, 20_000, seed=3, basis=ScoreBasis(1, 2, extended_grid(desk_box, 2, n_angles=6, radii=(1.0, 5.0))))
+        mx = _ConeMaximizer(gram)
+        g = _gaussian_draws(gram.sigma, self.N, 101)
+        return mx, mx.residual(g), mx.linear_values(g)
+
+    @pytest.mark.parametrize("R", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_values_with_columns(self, setup, m, R):
+        mx, h, v_lin = setup
+        idx = _greedy_extra_columns(mx, h, m)
+        rng = np.random.default_rng(10 * m + R)
+        cols = np.empty((self.N, R, h.shape[1]))
+        for r in range(R):
+            cols[:, r] = _direction_columns(mx.basis, 0, 1.0, rng.standard_normal((self.N, mx.basis.d + 1)))
+        got = mx.values_with_columns(h, cols, v_lin, idx)
+        ref = _one_hot_values_with_columns(mx, h, cols, v_lin, _one_hot(idx, h.shape[1]))
+        assert got.tobytes() == ref.tobytes()
+        assert np.all(got >= v_lin) and np.any(got > v_lin)
+
+    @pytest.mark.parametrize("setup", ["d1_gh"], indirect=True)
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exact_partition_d1(self, setup, m, budget):
+        mx, h, v_lin = setup
+        idx = _greedy_extra_columns(mx, h, m)
+        got = _exact_partition_d1(mx, h, v_lin, 0, 1.0, budget, idx)
+        ref = _one_hot_exact_partition_d1(mx, h, v_lin, 0, 1.0, budget, _one_hot(idx, h.shape[1]))
+        assert got.tobytes() == ref.tobytes()
