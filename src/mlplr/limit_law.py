@@ -989,10 +989,9 @@ def _ziggurat_decode(r, ki, wi):
     return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx
 
 
-def _ziggurat_walk(buf, x, fast, idx, p, fi):
-    """numpy's random_standard_normal over each row's raw outputs buf, of
-    which x, fast and idx are the decode: the first p normals (m, p), and
-    the rows it cannot be sure of.
+def _ziggurat_walk(buf, p, ki, wi, fi):
+    """numpy's random_standard_normal over each row's raw outputs: the
+    first p normals (m, p), and the rows it cannot be sure of.
 
     A slow candidate in layer idx >= 1 reads u from the next output and is
     taken iff (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2); taken or
@@ -1002,6 +1001,7 @@ def _ziggurat_walk(buf, x, fast, idx, p, fi):
     candidate in the last column is never taken); its row is a placeholder.
     """
     m, width = buf.shape
+    x, fast, idx = _ziggurat_decode(buf, ki, wi)
     slow, taken = ~fast, fast
     unsure = slow & ((idx & 0xFF) == 0)
     f = np.flatnonzero(slow & ~unsure & (np.arange(width) < width - 1))  # the wedge tests
@@ -1051,14 +1051,13 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
         buf = np.empty((len(w), p), np.uint64)
         state = _pcg_outputs(seeded, inc, buf)
         block = z[start:start + len(w)]
-        head = _ziggurat_decode(buf, ki, wi)
-        block[:] = head[0]
-        rows = np.flatnonzero(~head[1].all(axis=1))
+        x, fast, _ = _ziggurat_decode(buf, ki, wi)
+        block[:] = x
+        rows = np.flatnonzero(~fast.all(axis=1))
         if rows.size:
             tail = np.empty((rows.size, _ZIG_EXTRA), np.uint64)
             _pcg_outputs(state[:, rows], inc[:, rows], tail)
-            walk = [np.concatenate([a[rows], b], axis=1) for a, b in zip((buf, *head), (tail, *_ziggurat_decode(tail, ki, wi)))]
-            block[rows], bad = _ziggurat_walk(*walk, p, fi)
+            block[rows], bad = _ziggurat_walk(np.concatenate([buf[rows], tail], axis=1), p, ki, wi, fi)
             for i in rows[bad]:
                 if gen is None:
                     gen = np.random.Generator(np.random.PCG64(0))
