@@ -861,7 +861,7 @@ _PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
 _U64 = np.uint64
 _M_HI, _M_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _M_LO0, _M_LO1 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64(_PCG_MULT >> 32 & 0xFFFFFFFF)
-_LOW32 = _U64(0xFFFFFFFF)
+_LOW32, _LOW52 = _U64(0xFFFFFFFF), _U64(2**52 - 1)
 # raw outputs beyond p in the buffer of a row that takes a slow variate
 _ZIG_EXTRA = 4
 # wedge comparisons closer than this (relative) are left to numpy: the
@@ -983,10 +983,10 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _ziggurat_decode(r, ki, wi):
     """Per raw output: the candidate x, whether it is taken at once, and its
-    index idx | sign << 8 (layer idx) into ki (as int64) and wi (signed)."""
-    idx = (r & _U64(0x1FF)).astype(np.intp)
-    rabs = (r >> _U64(9)).view(np.int64) & 2**52 - 1
-    return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx
+    layer. ki and wi are indexed by idx | sign << 8, wi signed."""
+    idx = (r & _U64(0x1FF)).astype(np.uint16)
+    rabs = r >> _U64(9) & _LOW52
+    return rabs.astype(np.float64) * np.take(wi, idx), rabs < np.take(ki, idx), idx & np.uint16(0xFF)
 
 
 def _ziggurat_walk(buf, p, ki, wi, fi):
@@ -1003,9 +1003,9 @@ def _ziggurat_walk(buf, p, ki, wi, fi):
     m, width = buf.shape
     x, fast, idx = _ziggurat_decode(buf, ki, wi)
     slow, taken = ~fast, fast
-    unsure = slow & ((idx & 0xFF) == 0)
+    unsure = slow & (idx == 0)
     f = np.flatnonzero(slow & ~unsure & (np.arange(width) < width - 1))  # the wedge tests
-    layer = idx.ravel()[f] & 0xFF
+    layer = idx.ravel()[f]
     u = (buf.ravel()[f + 1] >> _U64(11)).astype(np.float64) * 2.0**-53
     lhs = (fi[layer - 1] - fi[layer]) * u + fi[layer]
     xf = x.ravel()[f]
@@ -1039,7 +1039,7 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
     SeedSequence per row.
     """
     ki, wi, fi = _ziggurat_tables()
-    ki, wi = np.concatenate([ki, ki]).view(np.int64), np.concatenate([wi, -wi])
+    ki, wi = np.concatenate([ki, ki]), np.concatenate([wi, -wi])
     words = _stream_words(seed, n)
     z = np.empty((n, p))
     gen = None
