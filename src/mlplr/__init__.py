@@ -30,7 +30,6 @@ from .likelihood import (
     taylor_terms,
 )
 from .limit_law import (
-    ConeSpec,
     GramMatrix,
     H4Report,
     LimitSample,
@@ -52,7 +51,6 @@ from .model import (
     RegressionSpec,
     generate_dataset,
     mlp_forward_batch,
-    transfer_eval,
 )
 from .selection import (
     PenaltySchedule,

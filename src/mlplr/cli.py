@@ -7,11 +7,14 @@ Monte Carlo Gram at d >= 3. --seed seeds draws, never that Gram.
 Exit codes:
   0  success;
   2  a configuration input (spec, box, fit config, schedule, dataset or
-     experiment config) cannot be read, parsed or validated, or an
-     option comes without the one it needs, or a --k of limit or
-     gradcheck is below the spec's k0; or the command line does not
-     parse, which includes a count (--n, --k, --k-max, --draws,
-     --threads) below 1 and a --seed below 0;
+     experiment config) cannot be read, parsed or validated, which
+     includes a spec with a true amplitude that is not positive (the
+     message names the positive form of a negative one) and a box whose
+     positive_amplitudes is not true; or an option comes without the
+     one it needs, or a --k of limit or gradcheck is below the spec's
+     k0; or the command line does not parse, which includes a count
+     (--n, --k, --k-max, --draws, --threads) below 1 and a --seed below
+     0;
   3  a fit failed; for experiment, a replicate cell failed or the run
      failed outside its limit-law stage;
   4  the limit law failed: its Gram, certificate or simulation (limit,
@@ -226,7 +229,7 @@ def cmd_check_h4(args) -> int:
     for name, rep in reports.items():
         print(
             f"[{name}: {rep['method']}] min eigenvalue (scaled) = {rep['min_eigenvalue']:.3e} "
-            f"(raw {rep['raw_min_eigenvalue']:.3e}) -> {'PASS' if rep['passed'] else 'FAIL'}"
+            f"-> {'PASS' if rep['passed'] else 'FAIL'}"
         )
     if not reports["gram"]["passed"]:  # the cross-check's verdict leaves the exit code alone
         raise LimitError("the spec's Gram fails the linear-independence certificate")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_law import Partition, ScoreBasis, eval_score_basis_batch
-from .model import Dataset, MlpParams, RegressionSpec, augment, mlp_forward_batch, transfer_eval
+from .model import Dataset, MlpParams, RegressionSpec, _sigmoid, augment, mlp_forward_batch
 
 # ---------------------------------------------------------------------------
 # Log-likelihood and LR statistic
@@ -149,7 +149,7 @@ def density_ratio(rep: Reparameterization, spec: RegressionSpec, X, y) -> np.nda
     W = phi[:, 1 : 1 + T * d1].reshape(len(phi), T, d1)
     amp = phi[:, 1 + T * d1 :] + [u.a for u in spec.theta0.units]
     # sum_j q_j phi(w_j^T xt) over each group's fitted units: (R, k0, n)
-    mix = np.add.reduceat(rep.psi[:, None] * transfer_eval(W @ augment(X).T, 0), part.t[:-1], axis=1)
+    mix = np.add.reduceat(rep.psi[:, None] * _sigmoid(W @ augment(X).T), part.t[:-1], axis=1)
     f_val = phi[:, :1] + np.einsum("ri,rin->rn", amp, mix)
     f0 = mlp_forward_batch(spec.theta0, X)
     s2 = spec.sigma2

@@ -67,6 +67,13 @@ class Partition:
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.t, self.t[1:]))
 
+    def quad_units(self, d: int) -> list[int]:
+        """The cone's quadratic directions at input dimension d: the
+        0-based true unit once per admissible rank-one direction. Group i
+        of m fitted units admits A_i PSD of rank at most min(m - 1, d + 1)
+        in its phi'' components, so a singleton group admits none."""
+        return [i for i, m in enumerate(self.group_sizes()) for _ in range(min(m - 1, d + 1))]
+
 
 def enumerate_partitions(k: int, k0: int) -> list[Partition]:
     """All admissible t vectors, in lexicographic order."""
@@ -148,7 +155,7 @@ def eval_score_basis_batch(spec: RegressionSpec, X: np.ndarray, basis: ScoreBasi
     out = np.empty((n, basis.dim))
     out[:, 0] = 1.0
     for i, unit in enumerate(spec.theta0.units):
-        # phi' and phi'' from one sigmoid, as transfer_eval forms them
+        # phi' = phi (1 - phi) and phi'' = phi' (1 - 2 phi) from one sigmoid
         s = _sigmoid(Xa @ unit.w)
         out[:, basis.phi_index(i)] = s
         d1 = s * (1.0 - s)
@@ -292,7 +299,6 @@ class H4Report:
 
     min_eigenvalue: float  # of the unit-diagonal-scaled x_gram
     passed: bool
-    raw_min_eigenvalue: float
     tol: float  # H4_TOL, reported beside the verdict
 
 
@@ -306,14 +312,13 @@ def check_h4(gram: GramMatrix) -> H4Report:
     components). A zero-norm column counts as an exact dependence.
     """
     G = np.asarray(gram.x_gram, dtype=float)
-    raw = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
     diag = np.diag(G).copy()
     if np.any(diag <= 0):
-        return H4Report(0.0, False, raw, H4_TOL)
+        return H4Report(0.0, False, H4_TOL)
     s = 1.0 / np.sqrt(diag)
     C = G * np.outer(s, s)
     mn = float(np.linalg.eigvalsh(0.5 * (C + C.T)).min())
-    return H4Report(mn, bool(mn >= H4_TOL), raw, H4_TOL)
+    return H4Report(mn, bool(mn >= H4_TOL), H4_TOL)
 
 
 def save_gram(gram: GramMatrix, prefix: str, spec: RegressionSpec) -> None:
@@ -372,7 +377,7 @@ def delta_feasible(nus: list[np.ndarray]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cone descriptions and normalization
+# Score normalization
 # ---------------------------------------------------------------------------
 
 
@@ -383,37 +388,6 @@ def normalize_score(c: np.ndarray, gram: GramMatrix) -> np.ndarray:
     if nrm2 <= 0.0:
         raise ValueError("cannot normalize a score with non-positive squared norm")
     return c / np.sqrt(nrm2)
-
-
-@dataclass
-class ConeSpec:
-    """One admissible cone: a partition plus per-group quadratic envelopes.
-
-    Group i admits sg(a_i^0) * A_i with A_i PSD of rank at most m_i - 1, so
-    singleton groups carry no quadratic term at all.
-    """
-
-    partition: Partition
-    basis: ScoreBasis
-    signs: np.ndarray  # sg(a_i^0), one per true unit
-
-    def __post_init__(self):
-        self.signs = np.asarray(self.signs, dtype=float)
-        if len(self.signs) != self.partition.k0 or self.partition.k0 != self.basis.k0:
-            raise ValueError("partition, basis and signs disagree on k0")
-
-    def rank_budget(self, i: int) -> int:
-        """Largest admissible rank of A_i (group i, 1-based)."""
-        m = self.partition.group_sizes()[i - 1]
-        return min(m - 1, self.basis.d + 1)
-
-    def quad_units(self) -> list[tuple[int, float]]:
-        """(0-based true unit, sign) once per admissible rank-one direction."""
-        return [
-            (i - 1, float(self.signs[i - 1]))
-            for i in range(1, self.partition.k0 + 1)
-            for _ in range(self.rank_budget(i))
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +429,8 @@ class LimitSample:
                 fh.write(f"{repr(float(v))},{'-'.join(map(str, t))},{r}\n")
 
 
-def _direction_columns(basis: ScoreBasis, unit: int, sign: float, u: np.ndarray) -> np.ndarray:
-    """Basis column of sg * (u^T x~)^2 * phi''_unit for unit direction(s) u.
+def _direction_columns(basis: ScoreBasis, unit: int, u: np.ndarray) -> np.ndarray:
+    """Basis column of (u^T x~)^2 * phi''_unit for unit direction(s) u.
 
     u has shape (..., d+1); returns shape (..., basis.dim).
     """
@@ -465,7 +439,7 @@ def _direction_columns(basis: ScoreBasis, unit: int, sign: float, u: np.ndarray)
     for l in range(basis.d + 1):
         for m in range(l, basis.d + 1):
             fac = 1.0 if l == m else 2.0
-            out[..., basis.ddphi_index(unit, l, m)] = sign * fac * u[..., l] * u[..., m]
+            out[..., basis.ddphi_index(unit, l, m)] = fac * u[..., l] * u[..., m]
     return out
 
 
@@ -608,12 +582,12 @@ def _rank1_angles(a: np.ndarray, trig: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(phi), phi, np.pi).T
 
 
-def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
-    """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = sign * P v,
+def _rank1_gain_d1(h: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """max(0, max over w of (c^T h)_+^2 / (c^T T c)) per draw, c = P v,
     for residuals h (N, 3) and the metric T, one (3, 3) shared by all draws
     or one per draw (N, 3, 3).
 
-    With a = sign * P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
+    With a = P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
     (v^T B v) in the angle phi = 2w. Its stationary points are the zeros of
     p = (a^T v')(v^T B v) - (a^T v)(v^T B v'), a trigonometric polynomial of
     degree 2 (the degree-3 terms cancel) and linear in a. Its zeros come
@@ -625,7 +599,7 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray, sign: float) -> np.ndarray:
     beat the maximum. A shared T keeps one BLAS product over all draws,
     whose bits depend on the batch.
     """
-    a = sign * (h @ _RANK1_D1)
+    a = h @ _RANK1_D1
     B = _RANK1_D1.T @ T @ _RANK1_D1
     # p for a = e_j sampled at 8 angles gives its exact Fourier
     # coefficients (c0, c1, s1, c2, s2) of 1, cos, sin, cos 2, sin 2
@@ -651,16 +625,15 @@ def _exact_partition_d1(
     h: np.ndarray,
     v_lin: np.ndarray,
     unit: int,
-    sign: float,
     budget: int,
     extras: np.ndarray | None = None,
     gains: dict | None = None,
 ) -> np.ndarray:
     """Exact supremum over one true unit's quadratic cone at d = 1, plus
-    the span of per-draw extra phi columns (N, m, p) if given. Without
-    extras, the rank-one gain is read from or stored in ``gains`` (keyed
-    (unit, sign)) if given, so the rank-one and PSD cones of one unit
-    compute it once.
+    the span of per-draw extra phi columns (their basis indices (N, m))
+    if given. Without extras, the rank-one gain is read from or stored in
+    ``gains`` (keyed by unit) if given, so the rank-one and PSD cones of
+    one unit compute it once.
 
     With Q the unit's three phi'' components, T_QQ and h_Q are the
     residual Gram and the residual draws of the shared linear-block
@@ -671,7 +644,7 @@ def _exact_partition_d1(
     h_Q - y_E^T C^-1 T_EQ with metric T_QQ - T_QE C^-1 T_EQ. The value is
     then v_lin plus the gain of the quadratic block in that metric.
     Budget 1 is the rank-one boundary (_rank1_gain_d1). Budget 2 is the
-    whole 2x2 PSD cone, which is convex: when sign * T^-1 h is PSD the
+    whole 2x2 PSD cone, which is convex: when T^-1 h is PSD the
     unconstrained optimum h^T T^-1 h is feasible, otherwise the cone
     projection lies on the rank-one boundary. No ridge on Q:
     simulate_limit's certificate makes T_QQ positive definite, and with
@@ -690,15 +663,15 @@ def _exact_partition_d1(
         h_q = h_q - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
         T = T - np.einsum("nri,nrj->nij", T_eq, sol[:, :, 1:])
     if extras is None and gains is not None:
-        if (unit, sign) not in gains:
-            gains[unit, sign] = _rank1_gain_d1(h_q, T, sign)
-        gain = gains[unit, sign]
+        if unit not in gains:
+            gains[unit] = _rank1_gain_d1(h_q, T)
+        gain = gains[unit]
     else:
-        gain = _rank1_gain_d1(h_q, T, sign)
+        gain = _rank1_gain_d1(h_q, T)
     if budget == 2:
+        # (A00, 2 A01, A11) of the unconstrained optimum
         q = np.linalg.solve(T, h_q.T).T if T.ndim == 2 else np.linalg.solve(T, h_q[..., None])[..., 0]
-        A = sign * q  # (A00, 2 A01, A11) of the unconstrained optimum
-        psd = (A[:, 0] >= 0) & (A[:, 2] >= 0) & (A[:, 0] * A[:, 2] >= 0.25 * A[:, 1] ** 2)
+        psd = (q[:, 0] >= 0) & (q[:, 2] >= 0) & (q[:, 0] * q[:, 2] >= 0.25 * q[:, 1] ** 2)
         gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h_q, q)), gain)
     return v_lin + gain
 
@@ -707,7 +680,7 @@ def _optimize_partition_general(
     mx: _ConeMaximizer,
     h: np.ndarray,
     v_lin: np.ndarray,
-    quad_units: list[tuple[int, float]],
+    quad_units: list[int],
     seed_key: tuple,
     fixed_cols: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -727,10 +700,7 @@ def _optimize_partition_general(
         dirs = np.tile(U[None, :, :], (N, 1, 1))
 
         def cols_from(dirs_arr: np.ndarray) -> np.ndarray:
-            cols = [
-                _direction_columns(mx.basis, unit, sign, dirs_arr[:, r, :])
-                for r, (unit, sign) in enumerate(quad_units)
-            ]
+            cols = [_direction_columns(mx.basis, unit, dirs_arr[:, r, :]) for r, unit in enumerate(quad_units)]
             return np.stack(cols, axis=1)
 
         for _ in range(_SEARCH_SWEEPS):
@@ -1096,12 +1066,11 @@ def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
 
 class _SharedDraws:
     """What simulate_limit's calls on one Gram share for one (seed,
-    n_draws, amplitude signs): the linear-block value v_lin and residual h
-    of the draws, each partition's per-draw value row and solver keyed
-    (t, n_free), and the rank-one gains without extra columns keyed
-    (unit, sign). v_lin, h and the rows are read-only. h is computed on
-    first use: a call whose partitions are all linear (k = k0) reads only
-    v_lin."""
+    n_draws): the linear-block value v_lin and residual h of the draws,
+    each partition's per-draw value row and solver keyed (t, n_free), and
+    the rank-one gains without extra columns keyed by unit. v_lin, h and
+    the rows are read-only. h is computed on first use: a call whose
+    partitions are all linear (k = k0) reads only v_lin."""
 
     def __init__(self, key: tuple, mx: _ConeMaximizer, g: np.ndarray):
         self.key = key
@@ -1109,7 +1078,7 @@ class _SharedDraws:
         self.v_lin = mx.linear_values(g)
         self.v_lin.flags.writeable = False
         self.rows: dict[tuple, tuple[np.ndarray, str]] = {}
-        self.gains: dict[tuple[int, float], np.ndarray] = {}
+        self.gains: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def h(self) -> np.ndarray:
@@ -1119,11 +1088,11 @@ class _SharedDraws:
 
 
 def _partition_row(
-    mx: _ConeMaximizer, shared: _SharedDraws, cone: ConeSpec, n_free: int, seed: int
+    mx: _ConeMaximizer, shared: _SharedDraws, part: Partition, n_free: int, seed: int
 ) -> tuple[np.ndarray, str]:
     """Per-draw value of one partition's cone, plus up to n_free greedy
     extra phi columns, and the solver that gave it."""
-    v_lin, quad_units = shared.v_lin, cone.quad_units()
+    v_lin, quad_units = shared.v_lin, part.quad_units(mx.basis.d)
     if not quad_units and n_free == 0:
         return v_lin, "linear"
     h = shared.h
@@ -1131,10 +1100,9 @@ def _partition_row(
     if not quad_units:
         return mx.values_with_columns(h, np.empty((len(h), 0, h.shape[1])), v_lin, fixed), "linear"
     if mx.basis.d == 1 and len(set(quad_units)) == 1:
-        unit, sign = quad_units[0]
-        row = _exact_partition_d1(mx, h, v_lin, unit, sign, len(quad_units), fixed, shared.gains)
+        row = _exact_partition_d1(mx, h, v_lin, quad_units[0], len(quad_units), fixed, shared.gains)
         return row, "exact_rank1" if len(quad_units) == 1 else "exact_psd"
-    return _optimize_partition_general(mx, h, v_lin, quad_units, (seed, cone.partition.t), fixed), "search"
+    return _optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed), "search"
 
 
 def simulate_limit(
@@ -1149,11 +1117,12 @@ def simulate_limit(
 
     Per draw, a Gaussian vector g ~ N(0, sigma) is sampled and the
     supremum of (max(c^T g, 0))^2 / (c^T sigma c) is maximized over every
-    partition's cone of realizable coefficient vectors (ConeSpec); the
-    normalization sits in the Rayleigh denominator so the scale of c is
-    immaterial. The linear block is residualized once (_ConeMaximizer).
-    On the extended index set, each partition's free units add up to that
-    many extra phi columns, chosen greedily per draw in closed form
+    partition's cone of realizable coefficient vectors (the linear block
+    plus the directions of Partition.quad_units); the normalization sits
+    in the Rayleigh denominator so the scale of c is immaterial. The
+    linear block is residualized once (_ConeMaximizer). On the extended
+    index set, each partition's free units add up to that many extra phi
+    columns, chosen greedily per draw in closed form
     (_greedy_extra_columns); they are sign-free. Each partition goes to
     one solver in the residual process, recorded per draw in ``path`` for
     the winning partition: the linear block (plus any extra columns)
@@ -1176,9 +1145,10 @@ def simulate_limit(
     for as long as the Gram lives: the core certificate and the
     _ConeMaximizer, which depend on the Gram alone; the draws of the
     latest seed, at the largest n_draws asked for, which serve a smaller
-    n_draws as a prefix; and, for the latest (seed, n_draws, amplitude
-    signs) only, the _SharedDraws. A new seed frees the old seed's
-    arrays. Values computed from the draws are not shared across n_draws,
+    n_draws as a prefix; and, for the latest (seed, n_draws) only, the
+    _SharedDraws. The law does not read the true amplitudes (all
+    positive), so specs that differ only in them share all of it. A new
+    seed frees the old seed's arrays. Values computed from the draws are not shared across n_draws,
     because the bits of a batched BLAS product depend on the batch. The
     returned arrays are fresh.
     """
@@ -1216,8 +1186,7 @@ def simulate_limit(
     if "mx" not in memo:
         memo["mx"] = _ConeMaximizer(gram)
     mx = memo["mx"]
-    signs = np.sign([u.a for u in spec.theta0.units])
-    key = (seed, n_draws, tuple(signs))
+    key = (seed, n_draws)
     shared = memo.get("shared")
     if shared is None or shared.key != key:
         memo.pop("shared", None)
@@ -1229,7 +1198,7 @@ def simulate_limit(
     for pi, part in enumerate(partitions):
         n_free = k - part.total_units if extended else 0
         if (part.t, n_free) not in shared.rows:
-            row, path = _partition_row(mx, shared, ConeSpec(part, gram.basis, signs), n_free, seed)
+            row, path = _partition_row(mx, shared, part, n_free, seed)
             row.flags.writeable = False
             shared.rows[part.t, n_free] = row, path
         per_part[pi], path = shared.rows[part.t, n_free]

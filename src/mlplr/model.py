@@ -4,10 +4,15 @@ parameters, constraint set and synthetic data generation.
 The regression function is F(x) = beta + sum_i a_i * phi(w_i^T x~), where
 x~ = (1, x_1, ..., x_d) is the augmented input and w_i[0] is the unit bias;
 mlp_forward_batch evaluates it. The feasible set is defined by
-||w_i|| >= eta, an amplitude lower bound and ||theta|| <= M (Euclidean
-norms on the flattened parameter vector). Membership is decided, and
-points are mapped into the set, on that flattened vector, the form the
-optimizer works with (project_vector).
+||w_i|| >= eta, a_i >= eta and ||theta|| <= M (Euclidean norms on the
+flattened parameter vector). Membership is decided, and points are mapped
+into the set, on that flattened vector, the form the optimizer works with
+(project_vector).
+
+Amplitudes are positive, the parametrization the limit law is built for.
+The logistic sigmoid gives a phi(t) = a + |a| phi(-t), so a unit with
+a < 0 is the unit (|a|, -w) with a moved into beta; RegressionSpec takes
+only that form and names it when given a negative amplitude.
 """
 
 from __future__ import annotations
@@ -49,31 +54,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(t))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
-
-
-def transfer_eval(t, order: int = 0):
-    """Evaluate the sigmoid transfer function or one of its derivatives.
-
-    Parameters
-    ----------
-    t : float or ndarray
-        Evaluation point(s).
-    order : int
-        0 for phi, 1 or 2 for its first two derivatives.
-
-    All three orders are bounded on the real line.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in 0..2, got {order}")
-    scalar = np.isscalar(t)
-    s = _sigmoid(np.atleast_1d(t))
-    if order == 0:
-        out = s
-    elif order == 1:
-        out = s * (1.0 - s)
-    else:
-        out = s * (1.0 - s) * (1.0 - 2.0 * s)
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +150,12 @@ def mlp_forward_batch(theta: MlpParams, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConstraintBox:
-    """Compact feasible set: ||w_i|| >= eta, amplitude bound, ||theta|| <= M.
+    """Compact feasible set: ||w_i|| >= eta, a_i >= eta, ||theta|| <= M.
 
-    With positive_amplitudes on (the default, needed for sigmoid
-    identifiability) the amplitude constraint is a_i >= eta; otherwise
-    |a_i| >= eta.
+    Amplitudes are positive, the one mode the limit law describes (see the
+    module docstring). positive_amplitudes must be True; the field stays
+    so that configs naming it, and the config hashes that include it, keep
+    their form.
     """
 
     eta: float
@@ -182,6 +163,11 @@ class ConstraintBox:
     positive_amplitudes: bool = True
 
     def __post_init__(self):
+        if self.positive_amplitudes is not True:
+            raise ValueError(
+                f"positive_amplitudes must be true, got {self.positive_amplitudes!r}: amplitudes are "
+                "positive, and a negative one has a positive form (see RegressionSpec)"
+            )
         if not (self.eta > 0):
             raise ValueError("eta must be positive")
         if not (self.eta < self.M):
@@ -192,7 +178,7 @@ class ConstraintBox:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintBox":
-        return from_config(cls, d, eta=float, M=float, positive_amplitudes=bool)
+        return from_config(cls, d, eta=float, M=float)
 
 
 # nudge keeps pushed-out norms >= eta despite floating point rounding
@@ -220,12 +206,9 @@ def _unit_norms(V: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def _lower_ok(V: np.ndarray, k: int, norms: np.ndarray, box: ConstraintBox) -> np.ndarray:
-    """Per row: every amplitude (its absolute value when signs are free)
-    and every unit norm is at least eta. A NaN fails."""
-    amps = V[:, 1 : 1 + k]
-    if not box.positive_amplitudes:
-        amps = np.abs(amps)
-    return np.minimum.reduce(np.minimum(amps, norms), axis=1) >= box.eta
+    """Per row: every amplitude and every unit norm is at least eta. A NaN
+    fails."""
+    return np.minimum.reduce(np.minimum(V[:, 1 : 1 + k], norms), axis=1) >= box.eta
 
 
 def _push_out(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray) -> np.ndarray:
@@ -234,11 +217,7 @@ def _push_out(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarr
     that meets the bounds is left as it was. Returns the unit norms after
     the pass."""
     amps = V[:, 1 : 1 + k]
-    if box.positive_amplitudes:
-        np.maximum(amps, box.eta, out=amps)
-    else:
-        # zero amplitudes push to +eta (deterministic tie-break)
-        amps[...] = np.where(np.abs(amps) < box.eta, np.where(amps >= 0, box.eta, -box.eta), amps)
+    np.maximum(amps, box.eta, out=amps)
     short = norms < box.eta
     if not np.logical_or.reduce(short, axis=None):
         return norms
@@ -335,7 +314,10 @@ INPUT_LAWS = ("standard_normal", "laplace")
 
 @dataclass
 class RegressionSpec:
-    """True model: parameters theta0, known noise variance and input law."""
+    """True model: parameters theta0, known noise variance and input law.
+
+    Every true amplitude must be positive; a negative one is rejected with
+    the spec's positive form, which has the same regression function."""
 
     theta0: MlpParams
     sigma2: float
@@ -351,6 +333,16 @@ class RegressionSpec:
             raise ValueError("sigma2 must be non-negative and finite")
         if self.input_law not in INPUT_LAWS:
             raise ValueError(f"unknown input law {self.input_law!r}; choose from {INPUT_LAWS}")
+        amps = [u.a for u in self.theta0.units]
+        if not all(a > 0 for a in amps):  # NaN fails too
+            msg = f"true amplitudes must be positive, got {amps}"
+            if all(a < 0 or a > 0 for a in amps):  # no zero, no NaN: the form below exists
+                canonical = MlpParams(
+                    self.theta0.beta + sum(min(a, 0.0) for a in amps),
+                    [HiddenUnit(abs(u.a), -u.w if u.a < 0 else u.w) for u in self.theta0.units],
+                )
+                msg += f"; the same regression function in positive form is {json.dumps(canonical.to_dict())}"
+            raise ValueError(msg)
 
     @property
     def k0(self) -> int:

@@ -130,6 +130,23 @@ class TestGenFitLr:
         assert code == 2
         assert not (workdir / "data.csv").exists()
 
+    def test_negative_spec_amplitude_is_config_error(self, workdir, capsys):
+        """The message names the spec's positive form (beta + a, |a|, -w)."""
+        spec = {"theta0": {"beta": 0.5, "units": [{"a": -1.0, "w": [0.5, 1.0]}]}, "sigma2": 1.0, "input_dim": 1}
+        (workdir / "neg.json").write_text(json.dumps(spec))
+        assert run(["gen", "--spec", workdir / "neg.json", "--n", 10, "--out-dir", workdir]) == 2
+        assert '{"beta": -0.5, "units": [{"a": 1.0, "w": [-0.5, -1.0]}]}' in capsys.readouterr().err
+        assert not (workdir / "data.csv").exists()
+
+    @pytest.mark.parametrize("flag", [False, "false"])
+    def test_free_sign_box_is_config_error(self, workdir, flag):
+        run(["gen", "--spec", workdir / "spec.json", "--n", 20, "--out", "data.csv", "--out-dir", workdir])
+        (workdir / "signed_box.json").write_text(json.dumps({"eta": 0.1, "M": 50.0, "positive_amplitudes": flag}))
+        code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "signed_box.json",
+                    "--out", "out.json", "--out-dir", workdir])
+        assert code == 2
+        assert not (workdir / "out.json").exists()
+
     def test_non_finite_dataset_is_config_error(self, workdir):
         (workdir / "data.csv").write_text("x1,y\n0.1,nan\n0.2,1.0\n0.3,0.5\n")
         code = run(["fit", "--data", workdir / "data.csv", "--k", 1, "--box", workdir / "box.json",
@@ -180,6 +197,7 @@ class TestSelectAndLimit:
         code = run(["check-h4", "--spec", workdir / "spec.json", "--out", "h4.json", "--out-dir", workdir])
         assert code == 0
         reports = json.loads((workdir / "h4.json").read_text())["reports"]
+        assert set(reports["gram"]) == {"method", "min_eigenvalue", "passed", "tol"}
         assert reports["gram"]["method"] == "gauss_hermite" and reports["gram"]["passed"]
         assert reports["mc_cross_check"]["method"] == "mc" and reports["mc_cross_check"]["passed"]
 

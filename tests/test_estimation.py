@@ -395,6 +395,8 @@ class TestOptimizerMatchesFrozenCopy:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_same_bits(self, k, d, positive, monkeypatch):
+        """Unless positive, the data come from the true unit's mirror
+        a = -1, given in its positive form (beta - 1, 1, -w)."""
         stacks = []
         project = mlplr.estimation.project_vector
 
@@ -403,8 +405,10 @@ class TestOptimizerMatchesFrozenCopy:
             return project(vec, *args)
 
         monkeypatch.setattr(mlplr.estimation, "project_vector", recorded)
-        box = ConstraintBox(0.1, 50.0, positive_amplitudes=positive)
-        spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, _TRUE_UNIT[d])]), 1.0, d)
+        box = ConstraintBox(0.1, 50.0)
+        w = _TRUE_UNIT[d]
+        theta0 = MlpParams(0.5, [HiddenUnit(1.0, w)]) if positive else MlpParams(-0.5, [HiddenUnit(1.0, -w)])
+        spec = RegressionSpec(theta0, 1.0, d)
         data = generate_dataset(spec, 100, seed=10 * k + d)
         Xa = augment(data.x)
         rng = np.random.default_rng([k, d, int(positive)])

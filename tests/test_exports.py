@@ -4,9 +4,11 @@ The tier-1 command runs with --continue-on-collection-errors, so a name
 trimmed from the package would turn the whole acceptance file into one
 collection error instead of a failing test. This reads the imports, the
 dotted ``mlplr.`` references and the (owner, "attribute") pairs the span
-tracer wraps from those files, without running them. It also pins the
-leading parameters of the functions whose arguments the tracer's hooks
-read by position.
+tracer wraps from those files, without running them. It binds the
+arguments of every call to an mlplr name in those files to the callee's
+signature, so a removed or renamed keyword fails here and not only in a
+run. It also pins the leading parameters of the functions whose arguments
+the tracer's hooks read by position.
 """
 
 import ast
@@ -56,7 +58,9 @@ def _references(path: Path) -> set[str]:
     return out
 
 
-def _resolves(dotted: str) -> bool:
+def _resolve(dotted: str):
+    """The object a dotted name names, importing submodules on the way;
+    LookupError if there is none."""
     parts = dotted.split(".")
     obj = importlib.import_module(parts[0])
     for i, part in enumerate(parts[1:], start=1):
@@ -64,17 +68,74 @@ def _resolves(dotted: str) -> bool:
             try:
                 importlib.import_module(".".join(parts[: i + 1]))
             except ModuleNotFoundError:
-                return False
+                raise LookupError(dotted) from None
         if not hasattr(obj, part):
-            return False
+            raise LookupError(dotted)
         obj = getattr(obj, part)
+    return obj
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        _resolve(dotted)
+    except LookupError:
+        return False
     return True
+
+
+def _unbound_calls(source: str) -> list[str]:
+    """Calls to an mlplr name (one imported from mlplr, or an attribute
+    chain from the name mlplr) whose arguments do not bind to the
+    callee's signature: an unknown keyword, or too many positional
+    arguments. Missing ones are left to the run; a name that does not
+    resolve is test_mlplr_names_resolve's to report."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "mlplr"
+        for alias in node.names
+    }
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = imported.get(func.id) if isinstance(func, ast.Name) else _dotted(func) if isinstance(func, ast.Attribute) else None
+        if name is None or not _resolves(name):
+            continue
+        n_pos = 0 if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        try:
+            inspect.signature(_resolve(name)).bind_partial(*[None] * n_pos, **{kw.arg: None for kw in node.keywords if kw.arg})
+        except TypeError as exc:
+            bad.append(f"line {node.lineno}: {name}: {exc}")
+    return bad
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_mlplr_names_resolve(path):
     missing = sorted(name for name in _references(path) if not _resolves(name))
     assert not missing, f"{path.name} uses names mlplr does not define: {missing}"
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_mlplr_calls_bind_to_their_signatures(path):
+    bad = _unbound_calls(path.read_text())
+    assert not bad, f"{path.name} calls mlplr with arguments its signatures do not take: {bad}"
+
+
+def test_the_binding_check_sees_keywords():
+    """It binds imported names and mlplr attribute chains, classes
+    included, and reports a keyword the callee lacks."""
+    ok = (
+        "import mlplr\nfrom mlplr import ConstraintBox\nfrom mlplr.limit_law import extended_grid\n"
+        "box = ConstraintBox(eta=0.1, M=50.0, positive_amplitudes=True)\n"
+        "extended_grid(box, 1, n_angles=8, radii=(2.0,))\nmlplr.simulate_limit(1, 2, 3, 4, 5, extended=True)\n"
+    )
+    assert _unbound_calls(ok) == []
+    assert len(_unbound_calls(ok.replace("positive_amplitudes", "positive").replace("n_angles", "angles"))) == 2
+    assert len(_unbound_calls(ok.replace("extended=True", "extended=True, signs=(1,)"))) == 1
+    assert len(_unbound_calls("import mlplr\nmlplr.gram_matrix_gh(1, 2, 3)\n")) == 1  # one positional too many
 
 
 def test_the_guard_sees_the_acceptance_imports():

@@ -210,9 +210,10 @@ class TestFdCheck:
     def test_catalog_over_random_draws(self, desk_spec):
         """Light version of the acceptance sweep (20 draws), on the desk
         spec and on a d = 2, k0 = 2 Laplace spec, where the phi'' block has
-        off-diagonal pairs and a partition has two groups."""
-        theta0 = MlpParams(0.3, [HiddenUnit(1.2, np.array([0.2, 1.0, -0.5])),
-                                 HiddenUnit(-0.8, np.array([-0.4, 0.3, 0.9]))])
+        off-diagonal pairs and a partition has two groups. Its second unit
+        is the positive form (beta - 0.8, 0.8, -w) of a unit a = -0.8."""
+        theta0 = MlpParams(-0.5, [HiddenUnit(1.2, np.array([0.2, 1.0, -0.5])),
+                                  HiddenUnit(0.8, np.array([0.4, -0.3, -0.9]))])
         d2_spec = RegressionSpec(theta0, sigma2=0.8, input_dim=2, input_law="laplace")
         for spec in (desk_spec, d2_spec):
             report = gradcheck(spec, k=spec.k0 + 1, n_draws=20, seed=0)

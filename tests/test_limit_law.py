@@ -12,7 +12,6 @@ from scipy.stats import chi2
 
 import mlplr
 from mlplr import (
-    ConeSpec,
     GramMatrix,
     HiddenUnit,
     MlpParams,
@@ -71,8 +70,8 @@ def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
 
     def all_cols(angles):
         cols = [
-            _direction_columns(mx.basis, unit, sign, np.stack([np.cos(angles[:, r]), np.sin(angles[:, r])], axis=-1))
-            for r, (unit, sign) in enumerate(quad_units)
+            _direction_columns(mx.basis, unit, np.stack([np.cos(angles[:, r]), np.sin(angles[:, r])], axis=-1))
+            for r, unit in enumerate(quad_units)
         ]
         return np.concatenate([fixed_cols, np.stack(cols, axis=1)], axis=1)
 
@@ -138,17 +137,16 @@ def _frozen_signed_extras_sample(spec, k, gram, n, seed):
     mx = _ConeMaximizer(gram)
     g = _gaussian_draws(gram.sigma, n, seed)
     v_lin, h = mx.linear_values(g), mx.residual(g)
-    signs = np.sign([u.a for u in spec.theta0.units])
     gains, rows, paths = {}, [], []
     for part in enumerate_partitions(k, spec.k0):
-        quad_units = ConeSpec(part, gram.basis, signs).quad_units()
+        quad_units = part.quad_units(gram.basis.d)
         n_free = k - part.total_units
         fixed = _greedy_extra_columns(mx, h, n_free) if n_free > 0 else None
         if not quad_units:
             rows.append(v_lin if fixed is None else mx.values_with_columns(h, _oriented(mx, h, fixed), v_lin))
             paths.append("linear")
         elif gram.basis.d == 1 and len(set(quad_units)) == 1:
-            rows.append(_exact_partition_d1(mx, h, v_lin, *quad_units[0], len(quad_units), fixed, gains))
+            rows.append(_exact_partition_d1(mx, h, v_lin, quad_units[0], len(quad_units), fixed, gains))
             paths.append("exact_rank1" if len(quad_units) == 1 else "exact_psd")
         else:
             rows.append(_optimize_partition_general(mx, h, v_lin, quad_units, (seed, part.t), fixed))
@@ -164,16 +162,15 @@ def _frozen_extended_draws(spec, k, gram, n, seed):
     g = _desk_draws(gram, n, seed)
     v_lin = mx.linear_values(g)
     h = mx.residual(g)
-    signs = np.sign([u.a for u in spec.theta0.units])
     best = np.full(n, -np.inf)
     for part in enumerate_partitions(k, 1):
-        quad_units = ConeSpec(part, gram.basis, signs).quad_units()
+        quad_units = part.quad_units(gram.basis.d)
         n_free = k - part.total_units
         fixed = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free)) if n_free > 0 else None
         if not quad_units:
             val = v_lin if fixed is None else mx.values_with_columns(h, fixed, v_lin)
         elif fixed is None:
-            val = _exact_partition_d1(mx, h, v_lin, *quad_units[0], len(quad_units))
+            val = _exact_partition_d1(mx, h, v_lin, quad_units[0], len(quad_units))
         else:
             val = _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed)
         np.maximum(best, val, out=best)
@@ -472,43 +469,39 @@ class TestNormalizeScore:
 
 
 class TestConeSpec:
+    """The cone of one partition: its quadratic directions
+    (Partition.quad_units) and their basis columns (_direction_columns)."""
+
     def test_singleton_groups_forbid_quadratics(self, desk_spec):
-        cone = ConeSpec(Partition((0, 1)), ScoreBasis(1, 1), np.array([1.0]))
-        assert cone.rank_budget(1) == 0
-        assert cone.quad_units() == []
+        assert Partition((0, 1)).quad_units(1) == []
+        assert Partition((0, 1, 2)).quad_units(2) == []
 
     def test_rank_budget_enforced(self):
         """A group of m units admits rank m - 1, capped at d + 1; each
         admissible rank-one direction is one quadratic column, whose
         coefficients on the pair components double the off-diagonal."""
         basis = ScoreBasis(1, 1)
-        budgets = [ConeSpec(Partition((0, m)), basis, np.array([1.0])).rank_budget(1) for m in (2, 3, 4)]
-        assert budgets == [1, 2, 2]
-        assert ConeSpec(Partition((0, 3)), basis, np.array([-1.0])).quad_units() == [(0, -1.0), (0, -1.0)]
-        two = ScoreBasis(2, 2)
-        cone = ConeSpec(Partition((0, 1, 4)), two, np.array([1.0, 1.0]))
-        assert (cone.rank_budget(1), cone.rank_budget(2)) == (0, 2)
-        assert cone.quad_units() == [(1, 1.0), (1, 1.0)]
-        c = _direction_columns(basis, 0, 1.0, np.array([1.0, 2.0]))
+        assert [Partition((0, m)).quad_units(1) for m in (2, 3, 4)] == [[0], [0, 0], [0, 0]]
+        assert Partition((0, 1, 4)).quad_units(2) == [1, 1]
+        assert Partition((0, 2, 7)).quad_units(2) == [0, 1, 1, 1]
+        c = _direction_columns(basis, 0, np.array([1.0, 2.0]))
         assert c[basis.ddphi_index(0, 0, 0)] == 1.0
         assert c[basis.ddphi_index(0, 0, 1)] == 4.0  # off-diagonal doubled
         assert c[basis.ddphi_index(0, 1, 1)] == 4.0
         assert np.count_nonzero(c) == 3
 
     def test_psd_enforced(self):
-        """A direction column is sg * u u^T on the quadratic block: PSD for a
-        positive sign, negative semi-definite for a negative one."""
+        """A direction column is u u^T on the quadratic block, so PSD."""
         basis = ScoreBasis(1, 2)
         rng = np.random.default_rng(2)
         pairs = [(l, m) for l in range(3) for m in range(l, 3)]
-        for sign in (1.0, -1.0):
-            for u in rng.standard_normal((20, 3)):
-                c = _direction_columns(basis, 0, sign, u)
-                A = np.zeros((3, 3))
-                for l, m in pairs:
-                    A[l, m] = A[m, l] = c[basis.ddphi_index(0, l, m)] / (1.0 if l == m else 2.0)
-                np.testing.assert_allclose(A, sign * np.outer(u, u), rtol=1e-14)
-                assert sign * np.linalg.eigvalsh(A).min() >= -1e-12
+        for u in rng.standard_normal((20, 3)):
+            c = _direction_columns(basis, 0, u)
+            A = np.zeros((3, 3))
+            for l, m in pairs:
+                A[l, m] = A[m, l] = c[basis.ddphi_index(0, l, m)] / (1.0 if l == m else 2.0)
+            np.testing.assert_allclose(A, np.outer(u, u), rtol=1e-14)
+            assert np.linalg.eigvalsh(A).min() >= -1e-12
 
     def test_rayleigh_scale_invariance(self, desk_spec):
         """The normalized score is what enters the supremum, so scaling a
@@ -517,7 +510,7 @@ class TestConeSpec:
         basis = gram.basis
         rng = np.random.default_rng(9)
         g = rng.standard_normal(7)
-        c = _direction_columns(basis, 0, 1.0, rng.standard_normal(2))
+        c = _direction_columns(basis, 0, rng.standard_normal(2))
         c[: basis.n_linear] = rng.standard_normal(basis.n_linear)
         val = max(c @ g, 0.0) ** 2 / (c @ gram.sigma @ c)
         val_scaled = max(3.7 * c @ g, 0.0) ** 2 / (3.7 * c @ gram.sigma @ c * 3.7)
@@ -824,12 +817,16 @@ class TestGramMemo:
         return sample.values.tobytes(), repr(sample.best_partition), sample.path.tobytes()
 
     def test_calls_on_one_gram_equal_fresh_calls(self, desk_spec, desk_box):
-        neg = RegressionSpec(MlpParams(0.5, [HiddenUnit(-1.0, np.array([0.5, 1.0]))]), 1.0, 1)
-        signed_box = dataclasses.replace(desk_box, positive_amplitudes=False)
+        """Also for a second spec on the desk Gram (a = 2.5), whose calls
+        equal the desk spec's byte for byte: the law does not read the
+        amplitudes. mirror is the desk unit's mirror a = -1 in its
+        positive form (beta - 1, 1, -w)."""
+        tall = RegressionSpec(MlpParams(0.5, [HiddenUnit(2.5, np.array([0.5, 1.0]))]), 1.0, 1)
+        mirror = RegressionSpec(MlpParams(-0.5, [HiddenUnit(1.0, np.array([-0.5, -1.0]))]), 1.0, 1)
         grid = extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0))
         core, ext = gram_matrix_gh(desk_spec), gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, grid))
-        neg_core = gram_matrix_gh(neg)
-        neg_ext = gram_matrix_gh(neg, basis=ScoreBasis(1, 1, extended_grid(signed_box, 1, n_angles=4, radii=(2.0,))))
+        mirror_core = gram_matrix_gh(mirror)
+        mirror_ext = gram_matrix_gh(mirror, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(2.0,))))
         calls = [  # (spec, gram, k, n_draws, seed, extended)
             (desk_spec, core, 1, 4000, 11, False),
             (desk_spec, core, 2, 1000, 11, False),
@@ -841,16 +838,20 @@ class TestGramMemo:
             (desk_spec, ext, 2, 1000, 11, True),
             (desk_spec, ext, 2, 1000, 11, False),
             (desk_spec, ext, 3, 1000, 11, True),
-            (neg, core, 3, 1000, 11, False),
-            (neg, neg_core, 3, 700, 11, False),
-            (neg, neg_core, 2, 700, 11, False),
-            (neg, neg_ext, 3, 700, 11, True),
-            (neg, neg_ext, 2, 700, 11, False),
+            (tall, core, 3, 1000, 11, False),
+            (tall, core, 2, 500, 11, False),
+            (mirror, mirror_core, 3, 700, 11, False),
+            (mirror, mirror_core, 2, 700, 11, False),
+            (mirror, mirror_ext, 3, 700, 11, True),
+            (mirror, mirror_ext, 2, 700, 11, False),
         ]
         for spec, gram, k, n, seed, extended in calls:
             got = simulate_limit(spec, k, gram, n, seed, extended=extended)
             ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed, extended=extended)
-            assert self._bytes(got) == self._bytes(ref), (spec.theta0.units[0].a, k, n, seed, extended)
+            assert self._bytes(got) == self._bytes(ref), (spec.theta0.to_dict(), k, n, seed, extended)
+            if spec is tall:
+                desk = simulate_limit(desk_spec, k, dataclasses.replace(gram), n, seed, extended=extended)
+                assert self._bytes(got) == self._bytes(desk), (k, n)
             got.values[:] = -1.0  # the memo hands out copies
             got.path[:] = "linear"
 
@@ -902,7 +903,9 @@ class TestExactConeD1:
     """The d = 1 closed forms against a dense search over the columns the
     fallback search would use, scored without a ridge; on the extended
     index set, with the greedily chosen extra phi columns entering every
-    column set sign-free."""
+    column set sign-free. Each runs on the residual draws h and on their
+    negations (sign): the cone is not symmetric, so the two meet it
+    differently."""
 
     N = 6
 
@@ -923,20 +926,20 @@ class TestExactConeD1:
         return gram, h, plain.linear_values(g), plain, _greedy_extra_columns(plain, h, 2)
 
     @staticmethod
-    def _columns(gram, sign, n):
+    def _columns(gram, n):
         om = np.arange(n) * np.pi / n
-        return _direction_columns(gram.basis, 0, sign, np.stack([np.cos(om), np.sin(om)], axis=-1))
+        return _direction_columns(gram.basis, 0, np.stack([np.cos(om), np.sin(om)], axis=-1))
 
     @staticmethod
     def _check(exact, brute, resolution):
         assert np.all(exact >= brute - 1e-9 * (1.0 + np.abs(brute)))
         assert np.all(exact - brute <= resolution)
 
-    def _rank1_search(self, gram, h, v_lin, plain, sign, extras=None):
+    def _rank1_search(self, gram, h, v_lin, plain, extras=None):
         """Best value over 4096 angles, and how far it can be from the
         maximum: within one grid step of the best grid angle."""
         n = 4096
-        cols = self._columns(gram, sign, n)
+        cols = self._columns(gram, n)
         rep = None if extras is None else np.repeat(extras, n, axis=0)
         vals = plain.values_with_columns(
             np.repeat(h, n, axis=0), np.tile(cols, (self.N, 1))[:, None, :], np.repeat(v_lin, n), rep
@@ -949,10 +952,10 @@ class TestExactConeD1:
         )
         return vals.max(axis=1), resolution
 
-    def _pair_search(self, gram, h, v_lin, plain, sign, extras=None):
+    def _pair_search(self, gram, h, v_lin, plain, extras=None):
         """Best value over pairs of 256 angles, and its grid resolution."""
         n = 256
-        cols = self._columns(gram, sign, n)
+        cols = self._columns(gram, n)
         I, J = np.triu_indices(n, 1)  # equal angles give a singular system
         pair_cols = np.stack([cols[I], cols[J]], axis=1)
         brute = np.empty(self.N)
@@ -972,24 +975,27 @@ class TestExactConeD1:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rank1_matches_dense_angle_search(self, setup, sign):
         gram, h, v_lin, mx, plain = setup
-        self._check(_exact_partition_d1(mx, h, v_lin, 0, sign, 1), *self._rank1_search(gram, h, v_lin, plain, sign))
+        h = sign * h
+        self._check(_exact_partition_d1(mx, h, v_lin, 0, 1), *self._rank1_search(gram, h, v_lin, plain))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_psd_matches_dense_angle_pair_search(self, setup, sign):
         gram, h, v_lin, mx, plain = setup
-        exact = _exact_partition_d1(mx, h, v_lin, 0, sign, 2)
-        self._check(exact, *self._pair_search(gram, h, v_lin, plain, sign))
-        assert np.all(exact >= _exact_partition_d1(mx, h, v_lin, 0, sign, 1))
+        h = sign * h
+        exact = _exact_partition_d1(mx, h, v_lin, 0, 2)
+        self._check(exact, *self._pair_search(gram, h, v_lin, plain))
+        assert np.all(exact >= _exact_partition_d1(mx, h, v_lin, 0, 1))
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_extra_columns_match_dense_search(self, extended, sign, budget):
         gram, h, v_lin, plain, extras = extended
+        h = sign * h  # the greedy columns do not depend on the sign
         search = self._rank1_search if budget == 1 else self._pair_search
-        exact = _exact_partition_d1(plain, h, v_lin, 0, sign, budget, extras)
-        self._check(exact, *search(gram, h, v_lin, plain, sign, extras))
+        exact = _exact_partition_d1(plain, h, v_lin, 0, budget, extras)
+        self._check(exact, *search(gram, h, v_lin, plain, extras))
         # the extra columns enter: the value beats the cone without them
-        without = _exact_partition_d1(plain, h, v_lin, 0, sign, budget)
+        without = _exact_partition_d1(plain, h, v_lin, 0, budget)
         assert np.all(exact >= without - 1e-9 * (1.0 + without))
         assert np.mean(exact > without + 1e-6) > 0.5
 
@@ -1126,7 +1132,7 @@ class TestExtendedD1ClosedForm:
         s3 = simulate_limit(spec, 3, gram, 100, seed=79)
         assert not calls and "search" not in set(s3.path)
         s4 = simulate_limit(spec, 4, gram, 100, seed=79)
-        assert calls == [[(0, 1.0), (1, 1.0)]]
+        assert calls == [[0, 1]]
         assert np.all(np.isfinite(s4.values))
         assert np.all(s3.values <= s4.values)
 
@@ -1146,9 +1152,9 @@ class TestRank1Roots:
         seen = []
         gain = mlplr.limit_law._rank1_gain_d1
 
-        def spy(h, T, sign):
+        def spy(h, T):
             seen.append((h, T))
-            return gain(h, T, sign)
+            return gain(h, T)
 
         basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
         with pytest.MonkeyPatch.context() as mp:
@@ -1160,12 +1166,12 @@ class TestRank1Roots:
         return {"shared": seen[0], "per_draw": per_draw[0]}
 
     @staticmethod
-    def _grid_best(h, T, sign, n=8192, rows=250):
+    def _grid_best(h, T, n=8192, rows=250):
         """Best ratio over n equally spaced angles, scored rows draws at a
         time, and the condition number sum |v_i B_ij v_j| / v^T B v of the
         ratio's denominator at the best angle."""
         P = mlplr.limit_law._RANK1_D1
-        a, B = sign * (h @ P), P.T @ T @ P
+        a, B = h @ P, P.T @ T @ P
         phi = np.arange(n) * (2.0 * np.pi / n)
         V = np.stack([np.ones(n), np.cos(phi), np.sin(phi)], axis=1)
         best, at = np.empty(len(a)), np.empty(len(a), dtype=int)
@@ -1180,11 +1186,13 @@ class TestRank1Roots:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("metric", ["shared", "per_draw"])
     def test_matches_eigvals_and_never_falls_below_a_dense_grid(self, metrics, metric, sign, monkeypatch):
+        """On the draws and on their negations (sign)."""
         h, T = metrics[metric]
-        got = mlplr.limit_law._rank1_gain_d1(h, T, sign)
+        h = sign * h
+        got = mlplr.limit_law._rank1_gain_d1(h, T)
         monkeypatch.setattr(mlplr.limit_law, "_rank1_angles", _frozen_eigvals_angles)
-        ref = mlplr.limit_law._rank1_gain_d1(h, T, sign)
-        grid, cond = self._grid_best(h, T, sign)
+        ref = mlplr.limit_law._rank1_gain_d1(h, T)
+        grid, cond = self._grid_best(h, T)
         # both steps feed the unchanged ratio angles that differ in their
         # last bits, and its denominator at the maximum loses log10(cond)
         # digits to cancellation (cond up to 2e3 on the per-draw metric;
@@ -1195,13 +1203,12 @@ class TestRank1Roots:
         assert np.mean(got != ref) > 0.1  # the new step did run
 
     @staticmethod
-    def _row(a, B, sign):
+    def _row(a, B):
         """(h, T) for which _rank1_gain_d1 sees a and B."""
         Pinv = np.linalg.inv(mlplr.limit_law._RANK1_D1)
-        return sign * (a @ Pinv), np.swapaxes(Pinv, -1, -2) @ B @ Pinv
+        return a @ Pinv, np.swapaxes(Pinv, -1, -2) @ B @ Pinv
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_maximum_at_a_known_angle(self, sign):
+    def test_maximum_at_a_known_angle(self):
         """With a = B v(phi0) the ratio peaks at phi0 over all of R^3, so the
         gain is v(phi0)^T B v(phi0). The first rows put phi0 at pi, where p
         vanishes and with it the quartic's leading coefficient."""
@@ -1213,9 +1220,9 @@ class TestRank1Roots:
         Q = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
         B = np.einsum("nij,nj,nkj->nik", Q, 10.0 ** rng.uniform(-3.0, 0.0, (n, 3)), Q)
         a = np.einsum("nij,nj->ni", B, v0)
-        h, T = self._row(a, B, sign)
+        h, T = self._row(a, B)
         want = np.einsum("ni,nij,nj->n", v0, B, v0)
-        got = mlplr.limit_law._rank1_gain_d1(h, T, sign)
+        got = mlplr.limit_law._rank1_gain_d1(h, T)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_zero_draw_gains_nothing(self):
@@ -1223,7 +1230,7 @@ class TestRank1Roots:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for metric in (T, np.stack([T, 2.0 * T])):
-                gain = mlplr.limit_law._rank1_gain_d1(np.zeros((2, 3)), metric, 1.0)
+                gain = mlplr.limit_law._rank1_gain_d1(np.zeros((2, 3)), metric)
                 assert gain.tolist() == [0.0, 0.0]
 
     @staticmethod
@@ -1295,7 +1302,7 @@ class TestSignFreeExtras:
         chosen = _greedy_extra_columns(mx, h, 2)
         extras = _oriented(mx, h, chosen)
         rng = np.random.default_rng(89)
-        cols = np.stack([_direction_columns(gram.basis, u, 1.0, rng.standard_normal((200, 3))) for u in (0, 1)], axis=1)
+        cols = np.stack([_direction_columns(gram.basis, u, rng.standard_normal((200, 3))) for u in (0, 1)], axis=1)
         got = mx.values_with_columns(h, cols, v_lin, chosen)
         fixed = {}
         for signs in itertools.product((1.0, -1.0), repeat=2):
@@ -1347,7 +1354,7 @@ def _one_hot_values_with_columns(mx, g, cols, v_lin, extras):
     return best
 
 
-def _one_hot_exact_partition_d1(mx, h, v_lin, unit, sign, budget, extras):
+def _one_hot_exact_partition_d1(mx, h, v_lin, unit, budget, extras):
     """Frozen copy of _exact_partition_d1 when the extra columns came as
     unit columns extras (N, m, p), multiplied into T and h."""
     b = mx.basis
@@ -1360,11 +1367,10 @@ def _one_hot_exact_partition_d1(mx, h, v_lin, unit, sign, budget, extras):
     v_lin = v_lin + np.einsum("nr,nr->n", y, sol[:, :, 0])
     h_q = h[:, q_idx] - np.einsum("nr,nrj->nj", y, sol[:, :, 1:])
     T = mx.T[np.ix_(q_idx, q_idx)] - np.einsum("nri,nrj->nij", T_eq, sol[:, :, 1:])
-    gain = mlplr.limit_law._rank1_gain_d1(h_q, T, sign)
+    gain = mlplr.limit_law._rank1_gain_d1(h_q, T)
     if budget == 2:
         q = np.linalg.solve(T, h_q[..., None])[..., 0]
-        A = sign * q
-        psd = (A[:, 0] >= 0) & (A[:, 2] >= 0) & (A[:, 0] * A[:, 2] >= 0.25 * A[:, 1] ** 2)
+        psd = (q[:, 0] >= 0) & (q[:, 2] >= 0) & (q[:, 0] * q[:, 2] >= 0.25 * q[:, 1] ** 2)
         gain = np.where(psd, np.maximum(gain, np.einsum("nj,nj->n", h_q, q)), gain)
     return v_lin + gain
 
@@ -1395,7 +1401,7 @@ class TestUnitColumnIndices:
         rng = np.random.default_rng(10 * m + R)
         cols = np.empty((self.N, R, h.shape[1]))
         for r in range(R):
-            cols[:, r] = _direction_columns(mx.basis, 0, 1.0, rng.standard_normal((self.N, mx.basis.d + 1)))
+            cols[:, r] = _direction_columns(mx.basis, 0, rng.standard_normal((self.N, mx.basis.d + 1)))
         got = mx.values_with_columns(h, cols, v_lin, idx)
         ref = _one_hot_values_with_columns(mx, h, cols, v_lin, _one_hot(idx, h.shape[1]))
         assert got.tobytes() == ref.tobytes()
@@ -1407,6 +1413,6 @@ class TestUnitColumnIndices:
     def test_exact_partition_d1(self, setup, m, budget):
         mx, h, v_lin = setup
         idx = _greedy_extra_columns(mx, h, m)
-        got = _exact_partition_d1(mx, h, v_lin, 0, 1.0, budget, idx)
-        ref = _one_hot_exact_partition_d1(mx, h, v_lin, 0, 1.0, budget, _one_hot(idx, h.shape[1]))
+        got = _exact_partition_d1(mx, h, v_lin, 0, budget, idx)
+        ref = _one_hot_exact_partition_d1(mx, h, v_lin, 0, budget, _one_hot(idx, h.shape[1]))
         assert got.tobytes() == ref.tobytes()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -13,22 +14,20 @@ from mlplr import (
     PenaltySchedule,
     ProjectionError,
     RegressionSpec,
+    ScoreBasis,
     fit_mle,
     generate_dataset,
     mlp_forward_batch,
-    transfer_eval,
 )
+from mlplr.limit_law import eval_score_basis_batch
 from mlplr.model import _sigmoid, project_vector
 
 
 def _in_box(vec, k, d, box):
     """Whether a flattened parameter vector lies in the feasible set,
-    checked term by term: every amplitude (its absolute value when signs
-    are free) and every unit norm at least eta, and the vector's norm at
-    most M. A NaN fails."""
-    amps = vec[1 : 1 + k]
-    a_ok = np.all(amps >= box.eta) if box.positive_amplitudes else np.all(np.abs(amps) >= box.eta)
-    if not a_ok:
+    checked term by term: every amplitude and every unit norm at least
+    eta, and the vector's norm at most M. A NaN fails."""
+    if not np.all(vec[1 : 1 + k] >= box.eta):
         return False
     W = vec[1 + k :].reshape(k, d + 1)
     if not np.all(np.linalg.norm(W, axis=1) >= box.eta):
@@ -45,37 +44,48 @@ def _project(theta: MlpParams, box: ConstraintBox) -> MlpParams:
     return MlpParams.unflatten(out, theta.k, theta.input_dim)
 
 
+def _transfer(t, order):
+    """phi (order 0), phi' or phi'' at the points t, as the score basis
+    forms them: its phi, phi'_0 and phi''_00 columns for the unit
+    w = (0, 1), whose argument w^T x~ is x itself."""
+    spec = RegressionSpec(MlpParams(0.0, [HiddenUnit(1.0, np.array([0.0, 1.0]))]), 1.0, 1)
+    basis = ScoreBasis(1, 1)
+    column = (basis.phi_index(0), basis.dphi_index(0, 0), basis.ddphi_index(0, 0, 0))[order]
+    B = eval_score_basis_batch(spec, np.reshape(t, (-1, 1)))
+    np.testing.assert_array_equal(B[:, basis.phi_index(0)], _sigmoid(np.ravel(t)))
+    return B[:, column]
+
+
 class TestTransferFunction:
     def test_values_at_zero(self):
-        assert transfer_eval(0.0, 0) == 0.5
-        assert transfer_eval(0.0, 1) == 0.25
-        assert transfer_eval(0.0, 2) == 0.0
+        assert _sigmoid(0.0) == 0.5
+        assert [_transfer(0.0, order)[0] for order in range(3)] == [0.5, 0.25, 0.0]
 
     def test_derivative_identities(self):
         """phi' = phi(1-phi) and phi'' = phi'(1-2 phi) on a wide grid."""
         t = np.linspace(-30.0, 30.0, 2001)
-        s = transfer_eval(t, 0)
-        np.testing.assert_allclose(transfer_eval(t, 1), s * (1 - s), atol=1e-12)
-        np.testing.assert_allclose(transfer_eval(t, 2), transfer_eval(t, 1) * (1 - 2 * s), atol=1e-12)
+        s = _sigmoid(t)
+        np.testing.assert_allclose(_transfer(t, 1), s * (1 - s), atol=1e-12)
+        np.testing.assert_allclose(_transfer(t, 2), _transfer(t, 1) * (1 - 2 * s), atol=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_finite_differences(self, order):
         """Each derivative agrees with central differences of one order lower."""
         t = np.linspace(-10.0, 10.0, 401)
         h = 1e-5
-        fd = (transfer_eval(t + h, order - 1) - transfer_eval(t - h, order - 1)) / (2 * h)
-        an = transfer_eval(t, order)
-        np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-9)
+        fd = (_transfer(t + h, order - 1) - _transfer(t - h, order - 1)) / (2 * h)
+        np.testing.assert_allclose(_transfer(t, order), fd, rtol=1e-6, atol=1e-9)
 
     def test_bounded_and_stable_at_extremes(self):
         """No overflow for huge |t|; all orders stay bounded."""
         t = np.array([-1e4, -500.0, -36.0, 36.0, 500.0, 1e4])
-        for order in range(3):
-            vals = transfer_eval(t, order)
-            assert np.all(np.isfinite(vals))
-            assert np.all(np.abs(vals) <= 1.0)
-        assert transfer_eval(1e4, 0) == 1.0
-        assert transfer_eval(-1e4, 0) == 0.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for order in range(3):
+                vals = _transfer(t, order)
+                assert np.all(np.isfinite(vals))
+                assert np.all(np.abs(vals) <= 1.0)
+            assert _sigmoid(1e4) == 1.0
+            assert _sigmoid(-1e4) == 0.0
 
     def test_sigmoid_matches_sign_split_bits(self):
         """The exp(-|t|) form returns the sign-split form's bits, at -0.0,
@@ -91,10 +101,6 @@ class TestTransferFunction:
         assert _sigmoid(t).tobytes() == ref.tobytes()
         assert _sigmoid(t.reshape(-1, 3)).tobytes() == ref.tobytes()
         assert np.signbit(t[len(edges)])  # -0.0 is on the grid
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            transfer_eval(0.0, 3)
 
 
 class TestMlpParams:
@@ -176,10 +182,32 @@ class TestConstraints:
             assert _in_box(vec + 1e-3 * u / np.linalg.norm(u), 1, 1, desk_box)
 
     def test_absolute_amplitude_mode(self):
-        box = ConstraintBox(0.1, 50.0, positive_amplitudes=False)
+        """The free-sign mode is gone: a box asks for positive amplitudes
+        with True or not at all, and from JSON the string "false" no
+        longer reads as True."""
+        for flag in (False, "false", "true", 1):
+            with pytest.raises(ValueError, match="positive_amplitudes must be true"):
+                ConstraintBox(0.1, 50.0, positive_amplitudes=flag)
+            with pytest.raises(ValueError, match="positive_amplitudes must be true"):
+                ConstraintBox.from_dict({"eta": 0.1, "M": 50.0, "positive_amplitudes": flag})
         theta = MlpParams(0.0, [HiddenUnit(-0.5, np.array([1.0, 0.0]))])
-        assert _feasible(theta, box)
-        assert not _feasible(theta, ConstraintBox(0.1, 50.0))
+        assert not _feasible(theta, ConstraintBox.from_dict({"eta": 0.1, "M": 50.0, "positive_amplitudes": True}))
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, np.nan])
+    def test_spec_amplitudes_must_be_positive(self, desk_spec, a):
+        theta0 = MlpParams(0.5, [HiddenUnit(a, np.array([0.5, 1.0]))])
+        with pytest.raises(ValueError, match="true amplitudes must be positive") as exc:
+            RegressionSpec(theta0, 1.0, 1)
+        if a < 0:
+            # the positive form the message names, (beta + a, |a|, -w), has
+            # the same regression function
+            canonical = MlpParams.from_dict(json.loads(str(exc.value).split("positive form is ", 1)[1]))
+            assert canonical.to_dict() == {"beta": -0.5, "units": [{"a": 1.0, "w": [-0.5, -1.0]}]}
+            X = np.linspace(-30.0, 30.0, 6001)[:, None]
+            np.testing.assert_allclose(mlp_forward_batch(canonical, X), mlp_forward_batch(theta0, X), rtol=0, atol=1e-15)
+            assert RegressionSpec(canonical, 1.0, 1).k0 == 1
+        else:
+            assert "positive form" not in str(exc.value)
 
 
 class TestProjection:
@@ -201,13 +229,6 @@ class TestProjection:
         out = _project(theta, desk_box)
         assert _feasible(out, desk_box)
         assert np.linalg.norm(out.flatten()) <= desk_box.M
-
-    def test_negative_amplitudes_preserved(self):
-        box = ConstraintBox(0.1, 50.0, positive_amplitudes=False)
-        theta = MlpParams(0.0, [HiddenUnit(-0.02, np.array([1.0, 0.0])), HiddenUnit(0.0, np.array([1.0, 0.0]))])
-        out = _project(theta, box)
-        assert out.units[0].a == -box.eta  # sign kept
-        assert out.units[1].a == box.eta  # zero pushes positive
 
     def test_projection_always_feasible(self, desk_box):
         """Seeded random infeasible points all project into the box."""
@@ -233,12 +254,7 @@ class TestProjection:
 # Frozen copy of the projection as it was before its norms and bound checks
 # were streamlined; project_vector must return the same bits.
 def _frozen_apply_lower_bounds(vec, k, d, box):
-    amps = vec[1 : 1 + k]
-    if box.positive_amplitudes:
-        np.clip(amps, box.eta, None, out=amps)
-    else:
-        small = np.abs(amps) < box.eta
-        amps[small] = np.where(amps[small] >= 0, box.eta, -box.eta)
+    np.clip(vec[1 : 1 + k], box.eta, None, out=vec[1 : 1 + k])
     W = vec[1 + k :].reshape(k, d + 1)
     norms = np.linalg.norm(W, axis=1)
     for i in range(k):
@@ -251,9 +267,7 @@ def _frozen_apply_lower_bounds(vec, k, d, box):
 
 
 def _frozen_feasible(vec, k, d, box):
-    amps = vec[1 : 1 + k]
-    a_ok = np.all(amps >= box.eta) if box.positive_amplitudes else np.all(np.abs(amps) >= box.eta)
-    if not a_ok:
+    if not np.all(vec[1 : 1 + k] >= box.eta):
         return False
     W = vec[1 + k :].reshape(k, d + 1)
     if np.any(np.linalg.norm(W, axis=1) < box.eta):
@@ -286,9 +300,10 @@ def _frozen_project(vec, k, d, box):
 _BRANCHES = ("feasible", "ball", "amplitude", "short_w", "zero_w", "slack2")
 
 
-def _branch_case(branch, k, d, box, rng):
-    """A flattened vector that takes the named path through the projection."""
-    signs = np.ones(k) if box.positive_amplitudes else rng.choice([-1.0, 1.0], size=k)
+def _branch_case(branch, k, d, box, rng, positive=True):
+    """A flattened vector that takes the named path through the projection;
+    unless positive, each amplitude takes a random sign."""
+    signs = np.ones(k) if positive else rng.choice([-1.0, 1.0], size=k)
     amps = signs * rng.uniform(0.5, 3.0, size=k)
     W = rng.standard_normal((k, d + 1))
     W *= rng.uniform(0.5, 3.0, size=(k, 1)) / np.linalg.norm(W, axis=1, keepdims=True)
@@ -312,17 +327,19 @@ def _branch_case(branch, k, d, box, rng):
 
 class TestProjectionMatchesFrozenCopy:
     """A one-row stack, the form the fit projects its start in, gets the
-    frozen copy's bits on every branch."""
+    frozen copy's bits on every branch, also where the input's amplitudes
+    take either sign (positive=False), as the optimizer's trial steps can
+    make them."""
 
     @pytest.mark.parametrize("positive", [True, False])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("branch", _BRANCHES)
     def test_same_bits_on_every_branch(self, branch, d, positive):
-        box = ConstraintBox(0.1, 10.0, positive_amplitudes=positive)
+        box = ConstraintBox(0.1, 10.0)
         rng = np.random.default_rng([d, int(positive), _BRANCHES.index(branch)])
         for trial in range(40):
             k = 1 + trial % 3
-            stack = _branch_case(branch, k, d, box, rng)[None]
+            stack = _branch_case(branch, k, d, box, rng, positive)[None]
             before = stack.copy()
             ref = _frozen_project(stack[0].copy(), k, d, box)
             out = project_vector(stack, k, d, box)
@@ -346,16 +363,17 @@ class TestProjectionMatchesFrozenCopy:
 class TestStackedProjection:
     """An (R, p) stack is projected row by row with the frozen copy's bits,
     and a row that cannot be projected is marked NaN instead of failing
-    the call, since the line search may never read it."""
+    the call, since the line search may never read it. Unless positive,
+    the input amplitudes take either sign."""
 
     @pytest.mark.parametrize("positive", [True, False])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("branch", _BRANCHES)
     def test_stack_matches_row_by_row(self, branch, d, positive):
-        box = ConstraintBox(0.1, 10.0, positive_amplitudes=positive)
+        box = ConstraintBox(0.1, 10.0)
         rng = np.random.default_rng([d, int(positive), _BRANCHES.index(branch)])
         for k in (1, 2, 3):
-            stack = np.array([_branch_case(branch, k, d, box, rng) for _ in range(13)])
+            stack = np.array([_branch_case(branch, k, d, box, rng, positive) for _ in range(13)])
             before = stack.copy()
             out = project_vector(stack, k, d, box)
             assert stack.tobytes() == before.tobytes()
