@@ -26,7 +26,6 @@ from .likelihood import (
     density_ratio,
     fd_check_derivatives,
     lr_statistic,
-    residual_score,
     taylor_terms,
 )
 from .limit_law import (

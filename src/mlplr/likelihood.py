@@ -39,12 +39,6 @@ def conditional_loglik(theta: MlpParams, data: Dataset) -> float:
     return float(-0.5 * n * np.log(2.0 * np.pi * data.sigma2) - 0.5 * np.sum(r * r) / data.sigma2)
 
 
-def residual_score(spec: RegressionSpec, X, y) -> np.ndarray:
-    """Standardized residuals e(z) = (y - F(x)) / sigma2 under the truth,
-    for inputs X (n, d) and responses y (n,)."""
-    return (np.asarray(y, dtype=float) - mlp_forward_batch(spec.theta0, X)) / spec.sigma2
-
-
 def lr_statistic(
     sup_loglik: float,
     spec: RegressionSpec,
@@ -209,14 +203,15 @@ def taylor_terms(
     """Evaluate the two expansion terms of the density ratio at every
     observation z = (x, y) of X (n, d) and y (n,).
 
-    first_order is e(z) times the displacement contracted against the
+    With e(z) = (y - F(x)) / sigma2 the standardized residual under the
+    truth, first_order is e(z) times the displacement contracted against the
     regression gradient; second_order assembles the squared-score block
     with coefficient e^2 - 1/sigma2 (the catalog's e^2 - 1 at unit
     variance) plus the phi'' quadratic block and the s-w cross block.
     """
     base = base_reparameterization(rep.partition, spec, rep.psi)
     delta = rep.phi - base.phi
-    e = residual_score(spec, X, y)
+    e = (np.asarray(y, dtype=float) - mlp_forward_batch(spec.theta0, X)) / spec.sigma2
     grad, hess = _base_gradients(rep, spec, X)
     lin = grad @ delta
     first = e * lin
@@ -263,7 +258,7 @@ def fd_check_derivatives(
     base = base_reparameterization(rep.partition, spec, rep.psi)
     X = np.asarray(x, dtype=float)[None, :]
     Y = np.array([float(y)])
-    e = residual_score(spec, X, Y)[0]
+    e = (Y[0] - mlp_forward_batch(spec.theta0, X)[0]) / spec.sigma2
     grad, hessF = (a[0] for a in _base_gradients(base, spec, X))
     an_grad = e * grad
     an_hess = (e * e - 1.0 / spec.sigma2) * np.outer(grad, grad) + e * hessF

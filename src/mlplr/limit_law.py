@@ -407,7 +407,8 @@ _SEARCH_GOLDEN_STEPS = 24  # golden-section steps per coordinate plane
 
 @dataclass
 class LimitSample:
-    """Draws of the simulated limit of the doubled LR statistic."""
+    """Draws of the simulated limit of the doubled LR statistic: values[i]
+    from the normals of default_rng([seed, i]) (see simulate_limit)."""
 
     values: np.ndarray
     k: int
@@ -450,11 +451,14 @@ class _ConeMaximizer:
 
     The linear block L (constant, phi, phi') enters unconstrained. With
     K = S_LL^-1 sigma_L. and the residual Gram T = sigma - sigma_.L K,
-    both computed once here, a draw g leaves the residual h = g - g_L K
-    (``residual``), and every cone's value is v_lin = g_L^T S_LL^-1 g_L
-    plus the gain of its other columns in the metric T. All cone solvers
-    read T and h from here: values_with_columns, the d = 1 closed forms
-    (_exact_partition_d1) and the greedy choice of extra phi columns.
+    both computed once here, a draw g = F z (F the lower Cholesky factor
+    of sigma, jittered if sigma is singular to rounding, z standard normal)
+    leaves the residual h = g - g_L K = z H, H = F^T - F^T_.L K, and every
+    cone's value is v_lin = g_L^T S_LL^-1 g_L = z_L^T z_L (F nests in the
+    basis prefix) plus the gain of its other columns in the metric T. All
+    cone solvers read T and h from here: values_with_columns, the d = 1
+    closed forms (_exact_partition_d1) and the greedy choice of extra phi
+    columns.
 
     Each given quadratic direction must keep a non-negative coefficient;
     extra phi columns are sign-free. With a handful of such columns the
@@ -472,14 +476,18 @@ class _ConeMaximizer:
         T = gram.sigma - gram.sigma[:, :n_lin] @ self.K
         self.T = 0.5 * (T + T.T)
         self.ridge = ridge * float(np.trace(self.S_ll)) / n_lin
+        # a factor nested in the basis prefix keeps draws on a common seed
+        # comparable draw by draw across widths and index sets
+        p = gram.basis.dim
+        try:
+            F = np.linalg.cholesky(gram.sigma)
+        except np.linalg.LinAlgError:
+            F = np.linalg.cholesky(gram.sigma + 1e-12 * float(np.trace(gram.sigma)) / p * np.eye(p))
+        self.H = F.T - F.T[:, :n_lin] @ self.K
 
-    def linear_values(self, g: np.ndarray) -> np.ndarray:
-        gl = g[:, : self.basis.n_linear]
-        sol = np.linalg.solve(self.S_ll, gl.T).T
-        return np.einsum("ij,ij->i", gl, sol)
-
-    def residual(self, g: np.ndarray) -> np.ndarray:
-        return g - g[:, : self.basis.n_linear] @ self.K
+    def residual_of(self, z: np.ndarray) -> np.ndarray:
+        """The residual h = z H of the draws of standard normals z (N, p)."""
+        return z @ self.H
 
     def values_with_columns(
         self, g: np.ndarray, cols: np.ndarray, v_lin: np.ndarray, extras: np.ndarray | None = None
@@ -519,6 +527,10 @@ class _ConeMaximizer:
 # as a linear map of v = (1, cos 2w, sin 2w).
 _RANK1_D1 = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]])
 
+# (1, cos, sin, cos 2, sin 2) at the eight multiples of pi / 4
+_EIGHTHS = np.arange(8) * (np.pi / 4)
+_RANK1_AT = np.stack([np.ones(8), np.cos(_EIGHTHS), np.sin(_EIGHTHS), np.cos(2 * _EIGHTHS), np.sin(2 * _EIGHTHS)])
+
 
 def _rank1_angles(a: np.ndarray, trig: np.ndarray) -> np.ndarray:
     """Angles (N, 4) of the zeros of each draw's p(phi) = c0 + c1 cos phi +
@@ -541,12 +553,10 @@ def _rank1_angles(a: np.ndarray, trig: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         coef = a @ trig if trig.ndim == 2 else np.einsum("ni,nij->nj", a, trig)
-        eighth = np.arange(8) * (np.pi / 4)
-        at = np.stack([np.ones(8), np.cos(eighth), np.sin(eighth), np.cos(2 * eighth), np.sin(2 * eighth)])
-        j = np.argmax(np.abs(coef @ at), axis=1)
+        j = np.argmax(np.abs(coef @ _RANK1_AT), axis=1)
         c0, c1, s1, c2, s2 = np.ascontiguousarray(coef.T)
         # the coefficients of p(theta + psi), psi = (j - 4) pi / 4
-        cos1, sin1, cos2, sin2 = -at[1, j], -at[2, j], at[3, j], at[4, j]
+        cos1, sin1, cos2, sin2 = -_RANK1_AT[1, j], -_RANK1_AT[2, j], _RANK1_AT[3, j], _RANK1_AT[4, j]
         c1, s1 = c1 * cos1 + s1 * sin1, s1 * cos1 - c1 * sin1
         c2, s2 = c2 * cos2 + s2 * sin2, s2 * cos2 - c2 * sin2
         lead = c0 - c1 + c2
@@ -590,33 +600,30 @@ def _rank1_gain_d1(h: np.ndarray, T: np.ndarray) -> np.ndarray:
     With a = P^T h and B = P^T T P the ratio is f = (a^T v)^2 /
     (v^T B v) in the angle phi = 2w. Its stationary points are the zeros of
     p = (a^T v')(v^T B v) - (a^T v)(v^T B v'), a trigonometric polynomial of
-    degree 2 (the degree-3 terms cancel) and linear in a. Its zeros come
+    degree 2 (the degree-3 terms cancel), linear in a and in B: its Fourier
+    coefficients are a fixed linear map of B's six entries. Its zeros come
     in closed form, from Ferrari's method on the quartic (1 + t^2)^2 p in
     t = tan(theta / 2), theta the angle from a per-draw rotation that
     keeps every root finite (_rank1_angles). Their angles and phi = pi are
     the candidates, and the largest f over them is the maximum; a complex
     pair of roots adds the angle of its real part, a candidate that cannot
-    beat the maximum. A shared T keeps one BLAS product over all draws,
-    whose bits depend on the batch.
+    beat the maximum.
     """
     a = h @ _RANK1_D1
     B = _RANK1_D1.T @ T @ _RANK1_D1
-    # p for a = e_j sampled at 8 angles gives its exact Fourier
-    # coefficients (c0, c1, s1, c2, s2) of 1, cos, sin, cos 2, sin 2
-    phi = np.arange(8) * (np.pi / 4)
-    V = np.stack([np.ones(8), np.cos(phi), np.sin(phi)], axis=1)
-    dV = np.stack([np.zeros(8), -np.sin(phi), np.cos(phi)], axis=1)
-    vBv = np.einsum("ki,...ij,kj->...k", V, B, V)
-    vBdv = np.einsum("ki,...ij,kj->...k", V, B, dV)
-    X = np.moveaxis(np.fft.rfft(dV * vBv[..., None] - V * vBdv[..., None], axis=-2), -2, 0) / 4.0
-    trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=-1)
+    # B's six entries, each off-diagonal one averaged over both halves
+    S = 0.5 * (B + np.swapaxes(B, -1, -2))
+    b00, b01, b02, b11, b12, b22 = (S[..., i, j, None] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    # p's coefficients (c0, c1, s1, c2, s2) for a = e_0, e_1, e_2
+    trig = np.stack([
+        np.concatenate([np.zeros_like(b00), -b02, b01, -b12, 0.5 * (b11 - b22)], axis=-1),
+        np.concatenate([-1.5 * b02, -b12, -(b00 + b22), 0.5 * b02, -0.5 * b01], axis=-1),
+        np.concatenate([1.5 * b01, b00 + b11, b12, 0.5 * b01, 0.5 * b02], axis=-1),
+    ], axis=-2)
     ang = np.concatenate([_rank1_angles(a, trig), np.full((h.shape[0], 1), np.pi)], axis=1)
-    Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
-    num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
-    # v^T B v as the nine products (v_i B_ij) v_j in row-major order, the
-    # order of a three-operand einsum, at a third of its cost
-    Bk = B[..., None, :, :]
-    den = sum(Vc[..., i] * Bk[..., i, j] * Vc[..., j] for i in range(3) for j in range(3))
+    cs, sn = np.cos(ang), np.sin(ang)
+    num = np.maximum(a[:, :1] + a[:, 1:2] * cs + a[:, 2:] * sn, 0.0)
+    den = b00 + cs * (2.0 * b01 + b11 * cs + 2.0 * b12 * sn) + sn * (2.0 * b02 + b22 * sn)
     return np.maximum((num * num / den).max(axis=1), 0.0)
 
 
@@ -1037,14 +1044,12 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
 
 
 def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
-    """(n_draws, p) draws from N(0, sigma): row i is the lower Cholesky
-    factor of sigma times default_rng([seed, i]).standard_normal(p).
+    """(n_draws, p) standard normals for draws from N(0, sigma): row i is
+    default_rng([seed, i]).standard_normal(p), p the order of sigma.
 
     The normals of all rows come from one vectorized pass of numpy's
     PCG64 and ziggurat (_standard_normals); row 0 is checked against
-    numpy's own generator, which also rejects a negative seed. The factor
-    maps every draw by its own matrix-vector product, so each row has the
-    bits of factor @ z.
+    numpy's own generator, which also rejects a negative seed.
     """
     if n_draws >= 2**32:
         raise ValueError(f"n_draws must be below 2**32 (one uint32 entropy word), got {n_draws}")
@@ -1053,36 +1058,30 @@ def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
     z = _standard_normals(seed, n_draws, p)
     if n_draws and z[0].tobytes() != reference.tobytes():
         raise RuntimeError("vectorized normals differ from numpy's default_rng([seed, 0])")
-    # Cholesky keeps the factor nested in the basis prefix, so draws on a
-    # common seed stay comparable draw by draw across widths and between
-    # the core and extended index sets
-    try:
-        factor = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(sigma)) / p
-        factor = np.linalg.cholesky(sigma + jitter * np.eye(p))
-    return (factor[None] @ z[..., None])[..., 0]
+    return z
 
 
 class _SharedDraws:
     """What simulate_limit's calls on one Gram share for one (seed,
-    n_draws): the linear-block value v_lin and residual h of the draws,
-    each partition's per-draw value row and solver keyed (t, n_free), and
-    the rank-one gains without extra columns keyed by unit. v_lin, h and
-    the rows are read-only. h is computed on first use: a call whose
-    partitions are all linear (k = k0) reads only v_lin."""
+    n_draws): the linear-block value v_lin = z_L^T z_L and the residual
+    h = z H of the standard normals z (_ConeMaximizer), each partition's
+    per-draw value row and solver keyed (t, n_free), and the rank-one
+    gains without extra columns keyed by unit. v_lin, h and the rows are
+    read-only. h is computed on first use: a call whose partitions are
+    all linear (k = k0) reads only v_lin."""
 
-    def __init__(self, key: tuple, mx: _ConeMaximizer, g: np.ndarray):
+    def __init__(self, key: tuple, mx: _ConeMaximizer, z: np.ndarray):
         self.key = key
-        self._mx, self._g = mx, g
-        self.v_lin = mx.linear_values(g)
+        self._mx, self._z = mx, z
+        z_lin = z[:, : mx.basis.n_linear]
+        self.v_lin = np.einsum("ij,ij->i", z_lin, z_lin)
         self.v_lin.flags.writeable = False
         self.rows: dict[tuple, tuple[np.ndarray, str]] = {}
         self.gains: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def h(self) -> np.ndarray:
-        h = self._mx.residual(self._g)
+        h = self._mx.residual_of(self._z)
         h.flags.writeable = False
         return h
 
@@ -1130,26 +1129,29 @@ def simulate_limit(
     PSD cone, extra columns included; otherwise (d > 1, or quadratic
     directions on several true units) the sphere search. The core basis must pass check_h4.
 
-    Deterministic given the seed: draw i is exactly
-    default_rng([seed, i]).standard_normal(p) mapped by the lower Cholesky
-    factor of sigma (jittered if sigma is singular to rounding). All
-    n_draws streams run at once, numpy's PCG64 and ziggurat over uint64
-    arrays, and numpy itself draws the few rows that path cannot be sure
-    of (_gaussian_draws); seed must be a non-negative integer and n_draws
-    below 2**32.
+    Deterministic given the seed: with z exactly
+    default_rng([seed, i]).standard_normal(p) and F the lower Cholesky
+    factor of sigma (jittered if sigma is singular to rounding), draw i is
+    g = F z, simulated in whitened coordinates: its linear-block value is
+    z_L^T z_L, and its residual process z H comes from one matrix product
+    over all draws (_ConeMaximizer). All n_draws streams run at once,
+    numpy's PCG64 and ziggurat over uint64 arrays, and numpy itself draws
+    the few rows that path cannot be sure of (_gaussian_draws); seed must
+    be a non-negative integer and n_draws below 2**32.
 
     Calls on one Gram share work through its memo, and return exactly
     what each would return on a fresh copy. A partition's cone depends on
     its group sizes, not on k, and a draw's row on neither k nor n_draws,
     so widths drawn from one seed share draws and cones. The memo holds,
     for as long as the Gram lives: the core certificate and the
-    _ConeMaximizer, which depend on the Gram alone; the draws of the
+    _ConeMaximizer, which depend on the Gram alone; the normals z of the
     latest seed, at the largest n_draws asked for, which serve a smaller
     n_draws as a prefix; and, for the latest (seed, n_draws) only, the
     _SharedDraws. The law does not read the true amplitudes (all
     positive), so specs that differ only in them share all of it. A new
-    seed frees the old seed's arrays. Values computed from the draws are not shared across n_draws,
-    because the bits of a batched BLAS product depend on the batch. The
+    seed frees the old seed's arrays. Values computed from the normals are
+    not shared across n_draws, because the bits of a batched BLAS product
+    such as z H depend on the batch. The
     returned arrays are fresh.
     """
     k0, d = spec.k0, spec.input_dim

@@ -19,7 +19,6 @@ from mlplr import (
     gradcheck,
     lr_statistic,
     mlp_forward_batch,
-    residual_score,
     taylor_terms,
 )
 
@@ -65,20 +64,20 @@ class TestResidualScore:
     def test_zero_residual(self, desk_spec):
         x = np.array([[0.3]])
         y = mlp_forward_batch(desk_spec.theta0, x)
-        assert residual_score(desk_spec, x, y) == 0.0
+        assert (y - mlp_forward_batch(desk_spec.theta0, x)) / desk_spec.sigma2 == 0.0
 
     def test_unit_scaled_residual(self):
         theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])
         spec = RegressionSpec(theta0, sigma2=1.7, input_dim=1)
         x = np.array([[-0.4]])
         y = mlp_forward_batch(theta0, x) + spec.sigma2
-        np.testing.assert_allclose(residual_score(spec, x, y), 1.0, rtol=1e-14)
+        np.testing.assert_allclose((y - mlp_forward_batch(theta0, x)) / spec.sigma2, 1.0, rtol=1e-14)
 
     def test_moments(self, desk_spec):
         """e = eps / sigma2 has mean 0 and variance 1/sigma2."""
         n = 100_000
         data = generate_dataset(desk_spec, n, seed=13)
-        e = residual_score(desk_spec, data.x, data.y)
+        e = (data.y - mlp_forward_batch(desk_spec.theta0, data.x)) / desk_spec.sigma2
         sigma = np.sqrt(desk_spec.sigma2)
         assert abs(np.mean(e)) <= 3 / (sigma * np.sqrt(n))
         assert abs(np.var(e) * desk_spec.sigma2 - 1.0) <= 0.05
@@ -154,7 +153,7 @@ class TestTaylorTerms:
         delta = np.zeros_like(base.phi)
         delta[0] = h
         x, y = np.array([[0.5]]), np.array([2.0])
-        e = residual_score(desk_spec, x, y)
+        e = (y - mlp_forward_batch(desk_spec.theta0, x)) / desk_spec.sigma2
         terms = taylor_terms(base.displaced(delta), desk_spec, x, y)
         np.testing.assert_allclose(terms.first_order, e * h, rtol=1e-12)
         np.testing.assert_allclose(terms.second_order, (e * e - 1.0) * h * h, rtol=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -27,7 +28,9 @@ from mlplr import (
     simulate_limit,
 )
 from mlplr.limit_law import (
+    _RANK1_D1,
     _ConeMaximizer,
+    _SharedDraws,
     _direction_columns,
     _exact_partition_d1,
     _draw_from_outputs,
@@ -49,13 +52,96 @@ def _desk_draws(gram, n, seed):
     return _per_draw_loop(gram.sigma, n, seed)
 
 
-def _per_draw_loop(sigma, n, seed):
+def _per_row_normals(p, n, seed):
+    """Row i is default_rng([seed, i]).standard_normal(p)."""
+    return np.stack([np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
+
+
+def _lower_factor(sigma):
     p = sigma.shape[0]
     try:
-        factor = np.linalg.cholesky(sigma)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        factor = np.linalg.cholesky(sigma + 1e-12 * float(np.trace(sigma)) / p * np.eye(p))
-    return np.stack([factor @ np.random.default_rng([seed, i]).standard_normal(p) for i in range(n)])
+        return np.linalg.cholesky(sigma + 1e-12 * float(np.trace(sigma)) / p * np.eye(p))
+
+
+def _per_draw_loop(sigma, n, seed):
+    factor = _lower_factor(sigma)
+    return np.stack([factor @ z for z in _per_row_normals(sigma.shape[0], n, seed)])
+
+
+# Frozen copies of the pipeline that simulate_limit ran before it worked in
+# whitened coordinates: the normals z mapped to the draws g = F z, one
+# matrix-vector product per row, then the linear value g_L^T S_LL^-1 g_L and
+# the residual g - g_L K of _ConeMaximizer's linear_values and residual.
+
+
+def _frozen_factor_map(sigma, z):
+    return (_lower_factor(sigma)[None] @ z[..., None])[..., 0]
+
+
+def _frozen_linear_values(mx, g):
+    gl = g[:, : mx.basis.n_linear]
+    sol = np.linalg.solve(mx.S_ll, gl.T).T
+    return np.einsum("ij,ij->i", gl, sol)
+
+
+def _frozen_residual(mx, g):
+    return g - g[:, : mx.basis.n_linear] @ mx.K
+
+
+class _FrozenSharedDraws(_SharedDraws):
+    """_SharedDraws over the draws g that the frozen map hands in, with
+    v_lin and h as the frozen linear values and residual."""
+
+    def __init__(self, key, mx, g):
+        super().__init__(key, mx, g)
+        self.v_lin = _frozen_linear_values(mx, g)
+        self.v_lin.flags.writeable = False
+
+    @functools.cached_property
+    def h(self):
+        h = _frozen_residual(self._mx, self._z)
+        h.flags.writeable = False
+        return h
+
+
+def _frozen_rank1_gain_d1(h, T):
+    """Frozen copy of _rank1_gain_d1 before its closed-form coefficients and
+    ratio: p's Fourier coefficients by an FFT of eight samples, the ratio
+    from a stack of (1, cos, sin) at the candidate angles. It takes its
+    root step from the module, so a test may swap that in turn."""
+    a = h @ _RANK1_D1
+    B = _RANK1_D1.T @ T @ _RANK1_D1
+    phi = np.arange(8) * (np.pi / 4)
+    V = np.stack([np.ones(8), np.cos(phi), np.sin(phi)], axis=1)
+    dV = np.stack([np.zeros(8), -np.sin(phi), np.cos(phi)], axis=1)
+    vBv = np.einsum("ki,...ij,kj->...k", V, B, V)
+    vBdv = np.einsum("ki,...ij,kj->...k", V, B, dV)
+    X = np.moveaxis(np.fft.rfft(dV * vBv[..., None] - V * vBdv[..., None], axis=-2), -2, 0) / 4.0
+    trig = np.stack([X[0].real / 2.0, X[1].real, -X[1].imag, X[2].real, -X[2].imag], axis=-1)
+    ang = np.concatenate([mlplr.limit_law._rank1_angles(a, trig), np.full((h.shape[0], 1), np.pi)], axis=1)
+    Vc = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+    num = np.maximum(np.einsum("nki,ni->nk", Vc, a), 0.0)
+    Bk = B[..., None, :, :]
+    den = sum(Vc[..., i] * Bk[..., i, j] * Vc[..., j] for i in range(3) for j in range(3))
+    return np.maximum((num * num / den).max(axis=1), 0.0)
+
+
+def _freeze(mp):
+    """Puts simulate_limit as it was before whitening back, at its two
+    seams: the normals' map (_gaussian_draws hands on g = F z, and
+    _SharedDraws takes the frozen linear values and residual of g) and
+    _rank1_gain_d1."""
+    draws = mlplr.limit_law._gaussian_draws
+    mp.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n, seed: _frozen_factor_map(sigma, draws(sigma, n, seed)))
+    mp.setattr(mlplr.limit_law, "_SharedDraws", _FrozenSharedDraws)
+    mp.setattr(mlplr.limit_law, "_rank1_gain_d1", _frozen_rank1_gain_d1)
+
+
+@pytest.fixture
+def frozen_map(monkeypatch):
+    _freeze(monkeypatch)
 
 
 def _frozen_optimize_partition_d1(mx, h, v_lin, quad_units, fixed_cols):
@@ -135,8 +221,8 @@ def _frozen_signed_extras_sample(spec, k, gram, n, seed):
     columns sign-constrained, in the orientation _oriented gives them
     (the other solvers take them sign-free): values and path."""
     mx = _ConeMaximizer(gram)
-    g = _gaussian_draws(gram.sigma, n, seed)
-    v_lin, h = mx.linear_values(g), mx.residual(g)
+    g = _frozen_factor_map(gram.sigma, _gaussian_draws(gram.sigma, n, seed))
+    v_lin, h = _frozen_linear_values(mx, g), _frozen_residual(mx, g)
     gains, rows, paths = {}, [], []
     for part in enumerate_partitions(k, spec.k0):
         quad_units = part.quad_units(gram.basis.d)
@@ -160,8 +246,8 @@ def _frozen_extended_draws(spec, k, gram, n, seed):
     them when the cones with extra phi columns went to the frozen search."""
     mx = _ConeMaximizer(gram)
     g = _desk_draws(gram, n, seed)
-    v_lin = mx.linear_values(g)
-    h = mx.residual(g)
+    v_lin = _frozen_linear_values(mx, g)
+    h = _frozen_residual(mx, g)
     best = np.full(n, -np.inf)
     for part in enumerate_partitions(k, 1):
         quad_units = part.quad_units(gram.basis.d)
@@ -557,7 +643,7 @@ class TestSimulateLimit:
         assert len(sample.best_partition) == 200
         assert all(t in ((0, 1), (0, 2)) for t in sample.best_partition)
 
-    def test_desk_draws_are_bit_identical_to_recorded(self, desk_spec, monkeypatch):
+    def test_desk_draws_are_bit_identical_to_recorded(self, desk_spec, monkeypatch, frozen_map):
         """sha256 of the k = 2 and k = 3 draws at seed 71, recorded with the
         block-system cone solver that built its own Schur complement in each
         closed form and took the rank-one roots from companion matrices:
@@ -573,7 +659,7 @@ class TestSimulateLimit:
             values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
             assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
 
-    def test_desk_draws_match_recorded_closed_form(self, desk_spec):
+    def test_desk_draws_match_recorded_closed_form(self, desk_spec, frozen_map):
         """sha256 of the same draws with the closed-form root step, which
         moves values by a few ulps (TestRank1Roots bounds by how much)."""
         gram = gram_matrix_gh(desk_spec)
@@ -585,7 +671,7 @@ class TestSimulateLimit:
             values = simulate_limit(desk_spec, k, gram, 500, seed=71).values
             assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
 
-    def test_desk_extended_draws_match_recorded(self, desk_spec, desk_box):
+    def test_desk_extended_draws_match_recorded(self, desk_spec, desk_box, frozen_map):
         """sha256 of the extended draws at seed 71 over the default grid:
         k = 2 takes the greedy extra columns, and k = 3 also the rank-one
         gain on per-draw metrics (a quadratic direction with a free unit)."""
@@ -597,6 +683,23 @@ class TestSimulateLimit:
         for k, digest in recorded.items():
             values = simulate_limit(desk_spec, k, gram, 500, seed=71, extended=True).values
             assert hashlib.sha256(values.tobytes()).hexdigest() == digest, k
+
+    def test_desk_draws_match_recorded_whitened(self, desk_spec, desk_box):
+        """sha256 of the draws at seed 71 as simulate_limit makes them in
+        whitened coordinates, which moves the values of the three tests
+        above by a few ulps (TestWhitenedDraws bounds by how much)."""
+        core = gram_matrix_gh(desk_spec)
+        ext = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
+        recorded = {
+            (1, False): "f1c85ed0384f66e5ec9dfb4eb3ca8a27a65547759c7a317e018759b84e5ba41a",
+            (2, False): "f288111dea2b5e813899b579225deb6cb76de68b681ff1b05adf8e40287bbaf1",
+            (3, False): "120958f03aa1079083991c94f7bbfc31b1e7b6d807707ecc8e4829e78ab5708f",
+            (2, True): "01e6562ee1ab3c7b22b7eaf619a425640d5531059417b0305513a6b12378b414",
+            (3, True): "0ea0d9a256689339caa63897b49228306c8a0cbc05610f98dfcd6780281ed57e",
+        }
+        for (k, extended), digest in recorded.items():
+            values = simulate_limit(desk_spec, k, ext if extended else core, 500, seed=71, extended=extended).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (k, extended)
 
     @pytest.mark.parametrize("k, extended, partitions, paths", [
         (1, False, "e76272a899696f4399f2ca083ea8a8f241a54e45670df74ec7cd88690c30886f",
@@ -704,11 +807,12 @@ class TestGaussianDraws:
         spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
         return spec, 3, gram_matrix(spec, 20_000, seed=3), False
 
-    def test_values_match_frozen_per_draw_loop(self, case, monkeypatch):
+    def test_values_match_frozen_per_draw_loop(self, case, monkeypatch, frozen_map):
         spec, k, gram, extended = case
         seed = 67
         n = 40 if spec.input_dim > 1 else 500  # the d = 2 sphere search is slow
-        assert _gaussian_draws(gram.sigma, n, seed).tobytes() == _desk_draws(gram, n, seed).tobytes()
+        assert _gaussian_draws(gram.sigma, n, seed).tobytes() == _per_row_normals(gram.basis.dim, n, seed).tobytes()
+        assert mlplr.limit_law._gaussian_draws(gram.sigma, n, seed).tobytes() == _desk_draws(gram, n, seed).tobytes()
         got = simulate_limit(spec, k, gram, n, seed, extended=extended).values
         monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n_draws, s: _desk_draws(gram, n_draws, s))
         ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed, extended=extended).values
@@ -726,11 +830,15 @@ class TestGaussianDraws:
     # 90,000 normals per case, 1.08 M over the twelve
     @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 7])
     @pytest.mark.parametrize("p", [1, 7, 13, 31])
-    def test_draws_match_per_draw_streams(self, p, seed):
+    def test_draws_match_per_draw_streams(self, p, seed, frozen_map):
         a = np.random.default_rng(p).standard_normal((p, p))
         sigma = a @ a.T + np.eye(p)
         n = -(-90_000 // p)
-        assert _gaussian_draws(sigma, n, seed).tobytes() == _per_draw_loop(sigma, n, seed).tobytes()
+        rows = _per_row_normals(p, n, seed)
+        assert _gaussian_draws(sigma, n, seed).tobytes() == rows.tobytes()
+        factor = _lower_factor(sigma)  # as _per_draw_loop, on the rows made once
+        ref = np.stack([factor @ z for z in rows])
+        assert mlplr.limit_law._gaussian_draws(sigma, n, seed).tobytes() == ref.tobytes()
 
     @staticmethod
     def _row_paths(raw, p, width, guard):
@@ -808,6 +916,44 @@ class TestGaussianDraws:
         assert "numpy.random" not in modules_after_import
 
 
+class TestWhitenedDraws:
+    """simulate_limit in whitened coordinates against the frozen pipeline
+    it replaced (_freeze), value by value."""
+
+    @pytest.fixture(scope="class", params=["desk_core_gh", "desk_extended_gh", "d2_mc"])
+    def case(self, request, desk_spec, desk_box):
+        """(spec, k, gram, extended, n, bound on the relative move)."""
+        if request.param == "desk_core_gh":
+            return desk_spec, 3, gram_matrix_gh(desk_spec), False, 2000, 1e-12
+        if request.param == "desk_extended_gh":  # jittered: its Cholesky factor fails
+            gram = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
+            return desk_spec, 3, gram, True, 2000, 1e-8
+        units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
+        spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
+        return spec, 3, gram_matrix(spec, 20_000, seed=3), False, 40, 1e-12
+
+    def test_values_move_in_the_last_bits_only(self, case):
+        spec, k, gram, extended, n, bound = case
+        got = simulate_limit(spec, k, gram, n, seed=67, extended=extended).values
+        with pytest.MonkeyPatch.context() as mp:
+            _freeze(mp)
+            ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed=67, extended=extended).values
+        assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
+        assert np.all(got >= ref - 1e-6 * (1.0 + np.abs(ref)))
+        assert np.mean(got != ref) > 0.5  # the whitened pipeline did run
+
+    def test_jittered_linear_value_is_the_normals_square_norm(self, desk_spec, desk_box):
+        """On a Gram whose factor takes the jitter, v_lin is still z_L^T z_L
+        of each draw's own stream: the jitter never enters it."""
+        gram = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram.sigma)
+        n, n_lin = 500, gram.basis.n_linear
+        z_lin = _per_row_normals(gram.basis.dim, n, 59)[:, :n_lin]
+        values = simulate_limit(desk_spec, 1, gram, n, seed=59).values
+        assert values.tobytes() == np.einsum("ij,ij->i", z_lin, z_lin).tobytes()
+
+
 class TestGramMemo:
     """simulate_limit shares draws and cone values between calls on one
     Gram; every call must still return what it returns on a fresh copy."""
@@ -881,20 +1027,20 @@ class TestGramMemo:
     def test_k0_call_never_computes_the_residual(self, desk_spec, monkeypatch):
         """At k = k0 every partition is linear, so only v_lin is read; the
         first call that needs the residual h computes it, once."""
-        residual = _ConeMaximizer.residual
+        residual = _ConeMaximizer.residual_of
         made = []
 
-        def refuse(self, g):
+        def refuse(self, z):
             raise AssertionError("residual computed")
 
-        def count(self, g):
-            made.append(g.shape)
-            return residual(self, g)
+        def count(self, z):
+            made.append(z.shape)
+            return residual(self, z)
 
         gram = gram_matrix_gh(desk_spec)
-        monkeypatch.setattr(_ConeMaximizer, "residual", refuse)
+        monkeypatch.setattr(_ConeMaximizer, "residual_of", refuse)
         simulate_limit(desk_spec, 1, gram, 1000, seed=5)
-        monkeypatch.setattr(_ConeMaximizer, "residual", count)
+        monkeypatch.setattr(_ConeMaximizer, "residual_of", count)
         simulate_limit(desk_spec, 2, gram, 1000, seed=5)
         assert made == [(1000, gram.basis.dim)]
 
@@ -914,7 +1060,7 @@ class TestExactConeD1:
         gram = gram_matrix_gh(desk_spec)
         g = _desk_draws(gram, self.N, seed=61)
         mx = _ConeMaximizer(gram)
-        return gram, mx.residual(g), mx.linear_values(g), mx, _ConeMaximizer(gram, ridge=0.0)
+        return gram, _frozen_residual(mx, g), _frozen_linear_values(mx, g), mx, _ConeMaximizer(gram, ridge=0.0)
 
     @pytest.fixture(scope="class")
     def extended(self, desk_spec, desk_box):
@@ -922,8 +1068,8 @@ class TestExactConeD1:
         gram = gram_matrix_gh(desk_spec, basis=basis)
         g = _desk_draws(gram, self.N, seed=61)
         plain = _ConeMaximizer(gram, ridge=0.0)
-        h = plain.residual(g)
-        return gram, h, plain.linear_values(g), plain, _greedy_extra_columns(plain, h, 2)
+        h = _frozen_residual(plain, g)
+        return gram, h, _frozen_linear_values(plain, g), plain, _greedy_extra_columns(plain, h, 2)
 
     @staticmethod
     def _columns(gram, n):
@@ -1041,12 +1187,12 @@ class TestExactConeD1:
         gram = gram_matrix_gh(desk_spec, basis=basis)
         mx = _ConeMaximizer(gram)
         g = _desk_draws(gram, 40, seed=67)
-        v_lin = mx.linear_values(g)
+        v_lin = _frozen_linear_values(mx, g)
         chosen, best_val = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=True)
         if n_free == 2:
             fixed_signs, _ = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=False)
             np.testing.assert_array_equal(fixed_signs, chosen)
-        h = mx.residual(g)
+        h = _frozen_residual(mx, g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # chosen columns are masked, not divided by 0
             got = _oriented(mx, h, _greedy_extra_columns(mx, h, n_free))
@@ -1086,9 +1232,9 @@ class TestResidualizedConeValues:
         g = rng.standard_normal((self.N, p)) @ np.linalg.cholesky(gram.sigma + jitter * np.eye(p)).T
         cols = rng.standard_normal((self.N, R, p))
         mx = _ConeMaximizer(gram, ridge=ridge)
-        v_lin = mx.linear_values(g)
+        v_lin = _frozen_linear_values(mx, g)
         ref = _block_values_with_columns(gram, ridge, g, cols, v_lin)
-        got = mx.values_with_columns(mx.residual(g), cols, v_lin)
+        got = mx.values_with_columns(_frozen_residual(mx, g), cols, v_lin)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
         assert np.mean(got > v_lin) > 0.3  # the columns do enter
 
@@ -1099,7 +1245,7 @@ class TestExtendedD1ClosedForm:
     to the sphere search."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_never_below_the_frozen_search(self, desk_spec, desk_box, k):
+    def test_never_below_the_frozen_search(self, desk_spec, desk_box, k, frozen_map):
         basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
         gram = gram_matrix_gh(desk_spec, basis=basis)
         sample = simulate_limit(desk_spec, k, gram, 300, seed=73, extended=True)
@@ -1297,8 +1443,8 @@ class TestSignFreeExtras:
         gram = gram_matrix(spec, 20_000, seed=3, basis=basis)
         mx = _ConeMaximizer(gram)
         g = _desk_draws(gram, 200, seed=83)
-        h = mx.residual(g)
-        v_lin = mx.linear_values(g)
+        h = _frozen_residual(mx, g)
+        v_lin = _frozen_linear_values(mx, g)
         chosen = _greedy_extra_columns(mx, h, 2)
         extras = _oriented(mx, h, chosen)
         rng = np.random.default_rng(89)
@@ -1314,7 +1460,7 @@ class TestSignFreeExtras:
         assert np.any(got > fixed[(1.0, 1.0)] + 1e-6 * (1.0 + got))
 
     @pytest.mark.parametrize("d, k", [(1, 2), (1, 3), (1, 4), (2, 3)], ids=["d1_gh_k2", "d1_gh_k3", "d1_gh_k4", "d2_mc_k3"])
-    def test_sign_free_greedy_columns_keep_the_signed_bits(self, desk_box, d, k):
+    def test_sign_free_greedy_columns_keep_the_signed_bits(self, desk_box, d, k, frozen_map):
         """A partition without quadratic directions scores its greedy extra
         columns sign-free. That gives, bit for bit in values and path,
         what the oriented columns held sign-constrained gave."""
@@ -1390,8 +1536,8 @@ class TestUnitColumnIndices:
             spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5]))]), 1.0, 2, input_law="laplace")
             gram = gram_matrix(spec, 20_000, seed=3, basis=ScoreBasis(1, 2, extended_grid(desk_box, 2, n_angles=6, radii=(1.0, 5.0))))
         mx = _ConeMaximizer(gram)
-        g = _gaussian_draws(gram.sigma, self.N, 101)
-        return mx, mx.residual(g), mx.linear_values(g)
+        g = _frozen_factor_map(gram.sigma, _gaussian_draws(gram.sigma, self.N, 101))
+        return mx, _frozen_residual(mx, g), _frozen_linear_values(mx, g)
 
     @pytest.mark.parametrize("R", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2])
