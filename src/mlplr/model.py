@@ -6,8 +6,10 @@ x~ = (1, x_1, ..., x_d) is the augmented input and w_i[0] is the unit bias;
 mlp_forward_batch evaluates it. The feasible set is defined by
 ||w_i|| >= eta, a_i >= eta and ||theta|| <= M (Euclidean norms on the
 flattened parameter vector). Membership is decided, and points are mapped
-into the set, on that flattened vector, the form the optimizer works with
-(project_vector).
+into the set, on that flattened vector, the form the optimizer works with.
+project_vector's map is a heuristic, not the Euclidean projection: one
+lower-bound pass, then for a point outside the ball the first feasible
+of two rescaled candidates, with norm targets M and sqrt(M^2 - 2k eta^2).
 
 Amplitudes are positive, the parametrization the limit law is built for.
 The logistic sigmoid gives a phi(t) = a + |a| phi(-t), so a unit with
@@ -205,12 +207,6 @@ def _unit_norms(V: np.ndarray, k: int, d: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(W * W, axis=-1))
 
 
-def _lower_ok(V: np.ndarray, k: int, norms: np.ndarray, box: ConstraintBox) -> np.ndarray:
-    """Per row: every amplitude and every unit norm is at least eta. A NaN
-    fails."""
-    return np.minimum.reduce(np.minimum(V[:, 1 : 1 + k], norms), axis=1) >= box.eta
-
-
 def _push_out(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray) -> np.ndarray:
     """Lower-bound pass on the rows of V, in place: push amplitudes, and
     the units whose norm (given in norms) is below eta, out to eta. A row
@@ -231,48 +227,28 @@ def _push_out(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarr
 
 def _bounds(V: np.ndarray, k: int, d: int, box: ConstraintBox, norms: np.ndarray | None = None):
     """The one description of the feasible set, per row of V: whether the
-    row is feasible and whether its lower bounds hold, with the vector
-    norms and unit norms (computed here unless given) the decision used."""
+    row is feasible and whether its lower bounds hold (every amplitude and
+    unit norm at least eta; a NaN fails), with the vector norms and unit
+    norms (computed here unless given) the decision used."""
     if norms is None:
         norms = _unit_norms(V, k, d)
-    lower = _lower_ok(V, k, norms, box)
+    lower = np.minimum.reduce(np.minimum(V[:, 1 : 1 + k], norms), axis=1) >= box.eta
     nrm = _row_norms(V)
     return lower & (nrm <= box.M), lower, nrm, norms
-
-
-def _settle(V: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
-    """Lower-bound pass on the rows of V, in place, where a bound fails;
-    returns which rows are then feasible."""
-    feasible, lower, _, norms = _bounds(V, k, d, box)
-    if np.logical_and.reduce(lower):
-        return feasible
-    return _bounds(V, k, d, box, _push_out(V, k, d, box, norms))[0]
-
-
-def _rescale(base: np.ndarray, factors: np.ndarray, take: np.ndarray, done: np.ndarray,
-             k: int, d: int, box: ConstraintBox) -> None:
-    """Scale the rows of base marked in take by their factors and re-apply
-    the lower bounds; those that are then feasible replace theirs in base
-    and are marked done, both in place. Scaling every row and keeping the
-    marked ones costs less than gathering them from a small stack."""
-    out = base * factors[:, None]
-    take &= _settle(out, k, d, box)
-    np.copyto(base, out, where=take[:, None])
-    done |= take
 
 
 def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.ndarray:
     """Map each row of an (R, p) stack of flattened parameter vectors into
     the feasible set (the optimizer's hot path).
 
-    The projection has two stages. Stage one clamps the amplitudes and
-    pushes each w_i radially out to norm eta (a zero w_i goes to eta times
-    the first coordinate axis). Stage two, if the result lies outside the
-    ball, rescales the whole vector to norm M and re-applies the lower
-    bounds once. When that pushes the norm past M again, the vector is
-    rescaled instead to norm sqrt(M^2 - 2k eta^2) before the lower bounds
-    are re-applied; this fallback lands strictly inside the ball, not on
-    its sphere. This is a heuristic map onto the feasible set, not the
+    A feasible row is kept. Any other row gets the lower-bound pass: its
+    amplitudes are clamped to eta and each w_i shorter than eta is pushed
+    radially out to norm eta (a zero w_i goes to eta times the first
+    coordinate axis). A row still outside the ball is scaled to two norm
+    targets, M and the fallback sqrt(M^2 - 2k eta^2), and both candidates
+    get the lower-bound pass again, all rows' in one stack. The row takes
+    the first feasible of itself, its M candidate and its fallback
+    candidate. This is a heuristic map onto the feasible set, not the
     Euclidean projection.
 
     Each row is mapped on its own; the branches are masks over the rows.
@@ -281,28 +257,28 @@ def project_vector(vec: np.ndarray, k: int, d: int, box: ConstraintBox) -> np.nd
     When eta and M leave no room for k units, every row is NaN. The input
     is never written.
     """
-    done, lower, nrm, norms = _bounds(vec, k, d, box)
+    feasible, lower, nrm, norms = _bounds(vec, k, d, box)
     base = vec.copy()
-    if np.logical_and.reduce(done):
+    if np.logical_and.reduce(feasible):
         return base
     if not np.logical_and.reduce(lower):
         # the lower-bound pass leaves the rows that meet the bounds as they were
-        done, _, nrm, _ = _bounds(base, k, d, box, _push_out(base, k, d, box, norms))
-    # each row not done is its input after one lower-bound pass, and nrm
-    # its norm; both stages below scale it to a norm target and re-apply
-    # the lower bounds
-    take = ~done & (nrm > box.M)
-    if np.logical_or.reduce(take):
-        _rescale(base, box.M / nrm, take, done, k, d, box)
-    # the re-applied lower bounds overshot M; each push-out adds at most
-    # eta^2 to the squared norm, so a norm target of sqrt(M^2 - 2k eta^2)
-    # leaves room for all of them
+        feasible, _, nrm, _ = _bounds(base, k, d, box, _push_out(base, k, d, box, norms))
+        if np.logical_and.reduce(feasible):
+            return base
+    # each push-out adds at most eta^2 to the squared norm, so the fallback
+    # leaves room for all of them; with no room at all it is NaN
     slack2 = box.M**2 - 2 * k * box.eta**2
-    if slack2 > 0 and not np.logical_and.reduce(done):
-        _rescale(base, math.sqrt(slack2) / nrm, ~done, done, k, d, box)
-    if not np.logical_and.reduce(done):
-        base[~done] = np.nan
-    return base
+    targets = np.array([[box.M], [math.sqrt(slack2) if slack2 > 0 else math.nan]])
+    # every row is scaled: in the fits most rows of a call that gets here need it
+    cands = base * (targets / nrm)[..., None]
+    flat = cands.reshape(-1, base.shape[1])
+    ok = _bounds(flat, k, d, box, _push_out(flat, k, d, box, _unit_norms(flat, k, d)))[0].reshape(2, -1)
+    out = cands[1]  # filled from the last choice to the first
+    out[~ok[1]] = np.nan
+    np.copyto(out, cands[0], where=((nrm > box.M) & ok[0])[:, None])
+    np.copyto(out, base, where=feasible[:, None])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,8 @@ class TestConditionalLoglik:
             conditional_loglik(desk_spec.theta0, data)
 
 
-class TestResidualScore:
-    def test_zero_residual(self, desk_spec):
-        x = np.array([[0.3]])
-        y = mlp_forward_batch(desk_spec.theta0, x)
-        assert (y - mlp_forward_batch(desk_spec.theta0, x)) / desk_spec.sigma2 == 0.0
-
-    def test_unit_scaled_residual(self):
-        theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])
-        spec = RegressionSpec(theta0, sigma2=1.7, input_dim=1)
-        x = np.array([[-0.4]])
-        y = mlp_forward_batch(theta0, x) + spec.sigma2
-        np.testing.assert_allclose((y - mlp_forward_batch(theta0, x)) / spec.sigma2, 1.0, rtol=1e-14)
+class TestNoiseLaw:
+    """generate_dataset draws its noise from N(0, sigma2)."""
 
     def test_moments(self, desk_spec):
         """e = eps / sigma2 has mean 0 and variance 1/sigma2."""

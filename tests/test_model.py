@@ -390,6 +390,30 @@ class TestStackedProjection:
         for row, vec in zip(np.delete(out, 3, axis=0), good):
             assert row.tobytes() == _frozen_project(vec.copy(), 2, 1, desk_box).tobytes()
 
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_of_one_stack_take_different_candidates(self, d, k, positive):
+        """Every branch several times in shuffled order, plus a NaN row, in
+        one call: rows kept, pushed out, rescaled to M and rescaled to the
+        fallback target sit side by side and keep the frozen copy's bits."""
+        box = ConstraintBox(0.1, 10.0)
+        rng = np.random.default_rng([d, k, int(positive), 5])
+        rows = [_branch_case(b, k, d, box, rng, positive) for b in _BRANCHES for _ in range(4)]
+        stack = np.array(rows + [np.full(k * (d + 2) + 1, np.nan)])[rng.permutation(len(rows) + 1)]
+        out = project_vector(stack, k, d, box)
+        nan = np.isnan(stack).all(axis=1)
+        assert nan.sum() == 1 and np.isnan(out[nan]).all()
+        for row, vec in zip(out[~nan], stack[~nan]):
+            assert row.tobytes() == _frozen_project(vec.copy(), k, d, box).tobytes()
+        # rows outside the ball took the fallback target within the call,
+        # and the M target too unless clamping a negative amplitude pushed
+        # every M candidate back out
+        radii = np.linalg.norm(out[np.linalg.norm(stack, axis=1) > box.M], axis=1)
+        assert np.any(radii < box.M * (1 - 1e-6))
+        if positive:
+            assert np.any(np.isclose(radii, box.M, rtol=1e-12))
+
     def test_infeasible_box_marks_every_row(self):
         box = ConstraintBox(1.0, 1.1, positive_amplitudes=True)
         vec = np.zeros(7)
