@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,15 +205,15 @@ def extended_grid(box: ConstraintBox, d: int, n_angles: int = 8, radii: tuple[fl
 
 @dataclass
 class GramMatrix:
-    """L2 Gram of the limit scores: sigma = P(V V^T) = x_gram / sigma2.
+    """L2 Gram E[B(X) B(X)^T] of the score basis. The scores' covariance
+    is x_gram / sigma2, and the limit law does not read its scale.
 
     simulate_limit keeps what its calls on one Gram share in ``_memo``,
     which lives and dies with the object (see simulate_limit). It reads
-    sigma and basis once, so they must not change afterwards;
+    x_gram and basis once, so they must not change afterwards;
     dataclasses.replace(gram) gives a copy whose memo starts empty.
     """
 
-    sigma: np.ndarray
     x_gram: np.ndarray
     mc_draws: int
     seed: int
@@ -222,9 +222,8 @@ class GramMatrix:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _finalize_gram(x_gram: np.ndarray, spec: RegressionSpec, draws: int, seed: int, basis: ScoreBasis, method: str) -> GramMatrix:
-    x_gram = 0.5 * (x_gram + x_gram.T)
-    return GramMatrix(x_gram / spec.sigma2, x_gram, draws, seed, basis, method)
+def _finalize_gram(x_gram: np.ndarray, draws: int, seed: int, basis: ScoreBasis, method: str) -> GramMatrix:
+    return GramMatrix(0.5 * (x_gram + x_gram.T), draws, seed, basis, method)
 
 
 _GRAM_CHUNK = 50_000
@@ -238,10 +237,8 @@ def gram_matrix(
 ) -> GramMatrix:
     """Monte-Carlo estimate of E[B(X) B(X)^T] under the input law.
 
-    The residual factor is exact: E[e^2] = 1/sigma2 with e independent of
-    X, so sigma = x_gram / sigma2. Accumulation runs over chunks of
-    _GRAM_CHUNK inputs in a fixed order, so the result is reproducible
-    bit for bit.
+    Accumulation runs over chunks of _GRAM_CHUNK inputs in a fixed order,
+    so the result is reproducible bit for bit.
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be at least 1")
@@ -255,7 +252,7 @@ def gram_matrix(
         B = eval_score_basis_batch(spec, draw_inputs(spec, m, rng), basis)
         acc += B.T @ B
         left -= m
-    return _finalize_gram(acc / mc_draws, spec, mc_draws, seed, basis, "mc")
+    return _finalize_gram(acc / mc_draws, mc_draws, seed, basis, "mc")
 
 
 @functools.lru_cache(maxsize=2)
@@ -287,7 +284,7 @@ def gram_matrix_gh(spec: RegressionSpec, basis: ScoreBasis | None = None) -> Gra
     w = functools.reduce(np.multiply.outer, [wts] * d).ravel()
     B = eval_score_basis_batch(spec, X, basis)
     method = "gauss_hermite" if spec.input_law == "standard_normal" else "gauss_laguerre"
-    return _finalize_gram((B * w[:, None]).T @ B, spec, w.size, 0, basis, method)
+    return _finalize_gram((B * w[:, None]).T @ B, w.size, 0, basis, method)
 
 
 H4_TOL = 1e-8  # least scaled eigenvalue that certifies a Gram
@@ -382,9 +379,9 @@ def delta_feasible(nus: list[np.ndarray]) -> bool:
 
 
 def normalize_score(c: np.ndarray, gram: GramMatrix) -> np.ndarray:
-    """Rescale a coefficient vector to unit L2 norm in the Gram metric."""
+    """Rescale a coefficient vector c so that c^T B has unit L2(P_X) norm."""
     c = np.asarray(c, dtype=float)
-    nrm2 = float(c @ gram.sigma @ c)
+    nrm2 = float(c @ gram.x_gram @ c)
     if nrm2 <= 0.0:
         raise ValueError("cannot normalize a score with non-positive squared norm")
     return c / np.sqrt(nrm2)
@@ -419,7 +416,6 @@ class LimitSample:
     # columns included), "search" (the sphere search: d > 1, or quadratic
     # directions on several true units)
     path: np.ndarray
-    extended: bool = False
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w") as fh:
@@ -444,15 +440,18 @@ def _direction_columns(basis: ScoreBasis, unit: int, u: np.ndarray) -> np.ndarra
     return out
 
 
+_RIDGE = 1e-12  # on the column block, relative to trace(S_LL) / n_lin
+
+
 class _ConeMaximizer:
     """The process left over once the linear block is removed, and the
-    supremum of (max(c^T g, 0))^2 / (c^T sigma c) over the linear block
-    plus a few given columns.
+    supremum of (max(c^T g, 0))^2 / (c^T S c) over the linear block plus a
+    few given columns, S the Gram's x_gram.
 
     The linear block L (constant, phi, phi') enters unconstrained. With
-    K = S_LL^-1 sigma_L. and the residual Gram T = sigma - sigma_.L K,
-    both computed once here, a draw g = F z (F the lower Cholesky factor
-    of sigma, jittered if sigma is singular to rounding, z standard normal)
+    K = S_LL^-1 S_L. and the residual Gram T = S - S_.L K, both computed
+    once here, a draw g = F z (F the lower Cholesky factor of S, jittered
+    if S is singular to rounding, z standard normal)
     leaves the residual h = g - g_L K = z H, H = F^T - F^T_.L K, and every
     cone's value is v_lin = g_L^T S_LL^-1 g_L = z_L^T z_L (F nests in the
     basis prefix) plus the gain of its other columns in the metric T. All
@@ -468,21 +467,21 @@ class _ConeMaximizer:
     scale 3.7e-13 against r as small as 3.1e-9.
     """
 
-    def __init__(self, gram: GramMatrix, ridge: float = 1e-12):
+    def __init__(self, gram: GramMatrix):
         self.basis = gram.basis
-        n_lin = gram.basis.n_linear
-        self.S_ll = gram.sigma[:n_lin, :n_lin]
-        self.K = np.linalg.solve(self.S_ll, gram.sigma[:n_lin])
-        T = gram.sigma - gram.sigma[:, :n_lin] @ self.K
+        S, n_lin = gram.x_gram, gram.basis.n_linear
+        S_ll = S[:n_lin, :n_lin]
+        self.K = np.linalg.solve(S_ll, S[:n_lin])
+        T = S - S[:, :n_lin] @ self.K
         self.T = 0.5 * (T + T.T)
-        self.ridge = ridge * float(np.trace(self.S_ll)) / n_lin
+        self.ridge = _RIDGE * float(np.trace(S_ll)) / n_lin
         # a factor nested in the basis prefix keeps draws on a common seed
         # comparable draw by draw across widths and index sets
         p = gram.basis.dim
         try:
-            F = np.linalg.cholesky(gram.sigma)
+            F = np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
-            F = np.linalg.cholesky(gram.sigma + 1e-12 * float(np.trace(gram.sigma)) / p * np.eye(p))
+            F = np.linalg.cholesky(S + 1e-12 * float(np.trace(S)) / p * np.eye(p))
         self.H = F.T - F.T[:, :n_lin] @ self.K
 
     def residual_of(self, z: np.ndarray) -> np.ndarray:
@@ -1043,9 +1042,9 @@ def _standard_normals(seed: int, n: int, p: int) -> np.ndarray:
     return z
 
 
-def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
-    """(n_draws, p) standard normals for draws from N(0, sigma): row i is
-    default_rng([seed, i]).standard_normal(p), p the order of sigma.
+def _gaussian_draws(p: int, n_draws: int, seed: int) -> np.ndarray:
+    """(n_draws, p) standard normals: row i is
+    default_rng([seed, i]).standard_normal(p).
 
     The normals of all rows come from one vectorized pass of numpy's
     PCG64 and ziggurat (_standard_normals); row 0 is checked against
@@ -1053,7 +1052,6 @@ def _gaussian_draws(sigma: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
     """
     if n_draws >= 2**32:
         raise ValueError(f"n_draws must be below 2**32 (one uint32 entropy word), got {n_draws}")
-    p = sigma.shape[0]
     reference = np.random.default_rng([seed, 0]).standard_normal(p)
     z = _standard_normals(seed, n_draws, p)
     if n_draws and z[0].tobytes() != reference.tobytes():
@@ -1114,24 +1112,26 @@ def simulate_limit(
 ) -> LimitSample:
     """Monte-Carlo sample of the limiting LR distribution at width k.
 
-    Per draw, a Gaussian vector g ~ N(0, sigma) is sampled and the
-    supremum of (max(c^T g, 0))^2 / (c^T sigma c) is maximized over every
-    partition's cone of realizable coefficient vectors (the linear block
-    plus the directions of Partition.quad_units); the normalization sits
-    in the Rayleigh denominator so the scale of c is immaterial. The
-    linear block is residualized once (_ConeMaximizer). On the extended
-    index set, each partition's free units add up to that many extra phi
-    columns, chosen greedily per draw in closed form
+    Per draw, a Gaussian vector g ~ N(0, S), S the Gram's x_gram, is
+    sampled and the supremum of (max(c^T g, 0))^2 / (c^T S c) is maximized
+    over every partition's cone of realizable coefficient vectors (the
+    linear block plus the directions of Partition.quad_units); the
+    normalization sits in the Rayleigh denominator, so neither the scale
+    of c nor that of S (x_gram / sigma2 is the scores' covariance) enters.
+    The linear block is residualized once (_ConeMaximizer). On the
+    extended index set, each partition's free units add up to that many
+    extra phi columns, chosen greedily per draw in closed form
     (_greedy_extra_columns); they are sign-free. Each partition goes to
     one solver in the residual process, recorded per draw in ``path`` for
     the winning partition: the linear block (plus any extra columns)
     alone; at d = 1, the closed forms for one true unit's rank-one or full
     PSD cone, extra columns included; otherwise (d > 1, or quadratic
-    directions on several true units) the sphere search. The core basis must pass check_h4.
+    directions on several true units) the sphere search. The core basis
+    must pass check_h4.
 
     Deterministic given the seed: with z exactly
     default_rng([seed, i]).standard_normal(p) and F the lower Cholesky
-    factor of sigma (jittered if sigma is singular to rounding), draw i is
+    factor of S (jittered if S is singular to rounding), draw i is
     g = F z, simulated in whitened coordinates: its linear-block value is
     z_L^T z_L, and its residual process z H comes from one matrix product
     over all draws (_ConeMaximizer). All n_draws streams run at once,
@@ -1166,10 +1166,7 @@ def simulate_limit(
         # the certificate concerns the theorem's basis; extra grid columns
         # are auxiliary and may be arbitrarily correlated with each other
         core = gram.basis.core_dim
-        memo["h4"] = check_h4(GramMatrix(
-            gram.sigma[:core, :core], gram.x_gram[:core, :core],
-            gram.mc_draws, gram.seed, ScoreBasis(k0, d), gram.method,
-        ))
+        memo["h4"] = check_h4(replace(gram, x_gram=gram.x_gram[:core, :core], basis=ScoreBasis(k0, d)))
     rep = memo["h4"]
     if not rep.passed:
         raise ValueError(
@@ -1180,7 +1177,7 @@ def simulate_limit(
     if drawn is None or drawn[0] != seed or len(drawn[1]) < n_draws:
         memo.pop("draws", None)
         memo.pop("shared", None)
-        drawn = memo["draws"] = (seed, _gaussian_draws(gram.sigma, n_draws, seed))
+        drawn = memo["draws"] = (seed, _gaussian_draws(gram.basis.dim, n_draws, seed))
     # allocated before the cone solvers' temporaries, so a caller that
     # keeps many samples does not strand each one above their freed heap
     values = np.empty(n_draws)
@@ -1213,5 +1210,4 @@ def simulate_limit(
         k=k,
         best_partition=[ts[0]] * n_draws if len(ts) == 1 else ts[best_idx].tolist(),
         path=np.array(paths)[best_idx],
-        extended=extended,
     )

@@ -285,8 +285,8 @@ def test_criterion_9_structural_invariants(desk_spec, gh_gram, limit_k1, limit_k
     mono_ok = bool(np.all(limit_k2.values >= limit_k1.values - 1e-8))
     checks.append(("per-draw monotonicity in k", mono_ok))
 
-    sym_ok = np.allclose(gh_gram.sigma, gh_gram.sigma.T, atol=1e-12)
-    psd_ok = float(np.linalg.eigvalsh(gh_gram.sigma).min()) >= -1e-10
+    sym_ok = np.allclose(gh_gram.x_gram, gh_gram.x_gram.T, atol=1e-12)
+    psd_ok = float(np.linalg.eigvalsh(gh_gram.x_gram).min()) >= -1e-10
     checks.append(("gram symmetry/PSD", sym_ok and psd_ok))
 
     elapsed = time.time() - t0

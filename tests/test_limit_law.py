@@ -49,7 +49,7 @@ from mlplr.limit_law import (
 def _desk_draws(gram, n, seed):
     """Frozen copy of the per-draw loop that built simulate_limit's draws
     g, one default_rng([seed, i]) per draw, jittered factor included."""
-    return _per_draw_loop(gram.sigma, n, seed)
+    return _per_draw_loop(gram.x_gram, n, seed)
 
 
 def _per_row_normals(p, n, seed):
@@ -80,9 +80,10 @@ def _frozen_factor_map(sigma, z):
     return (_lower_factor(sigma)[None] @ z[..., None])[..., 0]
 
 
-def _frozen_linear_values(mx, g):
-    gl = g[:, : mx.basis.n_linear]
-    sol = np.linalg.solve(mx.S_ll, gl.T).T
+def _frozen_linear_values(gram, g):
+    n_lin = gram.basis.n_linear
+    gl = g[:, :n_lin]
+    sol = np.linalg.solve(gram.x_gram[:n_lin, :n_lin], gl.T).T
     return np.einsum("ij,ij->i", gl, sol)
 
 
@@ -90,13 +91,29 @@ def _frozen_residual(mx, g):
     return g - g[:, : mx.basis.n_linear] @ mx.K
 
 
-class _FrozenSharedDraws(_SharedDraws):
-    """_SharedDraws over the draws g that the frozen map hands in, with
-    v_lin and h as the frozen linear values and residual."""
+def _ridge_free(gram):
+    """A _ConeMaximizer on gram without the ridge on its column block."""
+    mx = _ConeMaximizer(gram)
+    mx.ridge = 0.0
+    return mx
 
-    def __init__(self, key, mx, g):
+
+class _GramKeepingConeMaximizer(_ConeMaximizer):
+    """_ConeMaximizer that keeps its Gram for _FrozenSharedDraws."""
+
+    def __init__(self, gram):
+        super().__init__(gram)
+        self.gram = gram
+
+
+class _FrozenSharedDraws(_SharedDraws):
+    """_SharedDraws over the draws g = F z of the frozen map of the normals
+    z, with v_lin and h as the frozen linear values and residual of g."""
+
+    def __init__(self, key, mx, z):
+        g = _frozen_factor_map(mx.gram.x_gram, z)
         super().__init__(key, mx, g)
-        self.v_lin = _frozen_linear_values(mx, g)
+        self.v_lin = _frozen_linear_values(mx.gram, g)
         self.v_lin.flags.writeable = False
 
     @functools.cached_property
@@ -130,11 +147,10 @@ def _frozen_rank1_gain_d1(h, T):
 
 def _freeze(mp):
     """Puts simulate_limit as it was before whitening back, at its two
-    seams: the normals' map (_gaussian_draws hands on g = F z, and
-    _SharedDraws takes the frozen linear values and residual of g) and
-    _rank1_gain_d1."""
-    draws = mlplr.limit_law._gaussian_draws
-    mp.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n, seed: _frozen_factor_map(sigma, draws(sigma, n, seed)))
+    seams: the normals' map (_SharedDraws maps the normals z to g = F z of
+    the Gram its _ConeMaximizer keeps, and takes the frozen linear values
+    and residual of g) and _rank1_gain_d1."""
+    mp.setattr(mlplr.limit_law, "_ConeMaximizer", _GramKeepingConeMaximizer)
     mp.setattr(mlplr.limit_law, "_SharedDraws", _FrozenSharedDraws)
     mp.setattr(mlplr.limit_law, "_rank1_gain_d1", _frozen_rank1_gain_d1)
 
@@ -221,8 +237,8 @@ def _frozen_signed_extras_sample(spec, k, gram, n, seed):
     columns sign-constrained, in the orientation _oriented gives them
     (the other solvers take them sign-free): values and path."""
     mx = _ConeMaximizer(gram)
-    g = _frozen_factor_map(gram.sigma, _gaussian_draws(gram.sigma, n, seed))
-    v_lin, h = _frozen_linear_values(mx, g), _frozen_residual(mx, g)
+    g = _frozen_factor_map(gram.x_gram, _gaussian_draws(gram.basis.dim, n, seed))
+    v_lin, h = _frozen_linear_values(gram, g), _frozen_residual(mx, g)
     gains, rows, paths = {}, [], []
     for part in enumerate_partitions(k, spec.k0):
         quad_units = part.quad_units(gram.basis.d)
@@ -246,7 +262,7 @@ def _frozen_extended_draws(spec, k, gram, n, seed):
     them when the cones with extra phi columns went to the frozen search."""
     mx = _ConeMaximizer(gram)
     g = _desk_draws(gram, n, seed)
-    v_lin = _frozen_linear_values(mx, g)
+    v_lin = _frozen_linear_values(gram, g)
     h = _frozen_residual(mx, g)
     best = np.full(n, -np.inf)
     for part in enumerate_partitions(k, 1):
@@ -292,11 +308,11 @@ def _block_values_with_columns(gram, ridge, g, cols, v_lin):
     block re-enters every (n_lin + |S|)-dimensional system, and g is the
     raw draw, not its residual."""
     lin = np.arange(gram.basis.n_linear)
-    S_ll = gram.sigma[np.ix_(lin, lin)]
+    S_ll = gram.x_gram[np.ix_(lin, lin)]
     ridge = ridge * float(np.trace(S_ll)) / len(lin)
     N, R, _ = cols.shape
     n_lin = len(lin)
-    Sc = np.einsum("nrp,pq->nrq", cols, gram.sigma)
+    Sc = np.einsum("nrp,pq->nrq", cols, gram.x_gram)
     cross = Sc[:, :, lin]
     quad = np.einsum("nrp,nsp->nrs", Sc, cols)
     y_quad = np.einsum("nrp,np->nr", cols, g)
@@ -395,17 +411,25 @@ class TestGramMatrix:
         gram = gram_matrix(desk_spec, mc_draws=5000, seed=1)
         assert gram.x_gram[0, 0] == 1.0
 
-    def test_sigma_scaling(self):
-        theta0 = MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0]))])
-        spec = RegressionSpec(theta0, sigma2=2.0, input_dim=1)
-        gram = gram_matrix(spec, mc_draws=2000, seed=1)
-        np.testing.assert_array_equal(gram.sigma, gram.x_gram / 2.0)
-        assert gram.sigma[0, 0] == 0.5  # E[e^2] = 1/sigma2
+    def test_law_does_not_read_sigma2(self, desk_spec, desk_box):
+        """Specs that differ only in sigma2 build equal Grams and the same
+        limit values bit for bit: the law reads the scores' covariance
+        x_gram / sigma2 only up to scale."""
+        noisy = dataclasses.replace(desk_spec, sigma2=3.0)
+        ext = ScoreBasis(1, 1, extended_grid(desk_box, 1))
+        for basis, calls in ((None, [(1, False), (2, False), (3, False)]), (ext, [(2, True)])):
+            a, b = gram_matrix_gh(desk_spec, basis), gram_matrix_gh(noisy, basis)
+            assert a.x_gram.tobytes() == b.x_gram.tobytes()
+            assert (a.mc_draws, a.seed, a.basis, a.method) == (b.mc_draws, b.seed, b.basis, b.method)
+            for k, extended in calls:
+                got = simulate_limit(noisy, k, b, 2000, seed=1, extended=extended).values
+                ref = simulate_limit(desk_spec, k, a, 2000, seed=1, extended=extended).values
+                assert got.tobytes() == ref.tobytes(), (k, extended)
 
     def test_symmetry_and_psd(self, desk_spec):
         gram = gram_matrix(desk_spec, mc_draws=20_000, seed=3)
-        np.testing.assert_allclose(gram.sigma, gram.sigma.T, atol=1e-12)
-        assert np.linalg.eigvalsh(gram.sigma).min() >= -1e-10
+        np.testing.assert_allclose(gram.x_gram, gram.x_gram.T, atol=1e-12)
+        assert np.linalg.eigvalsh(gram.x_gram).min() >= -1e-10
 
     def test_two_seeds_agree_within_mc_error(self, desk_spec):
         """Entrywise agreement within 4 Monte-Carlo standard errors."""
@@ -476,7 +500,7 @@ class TestCheckH4:
     def test_identity_passes(self):
         basis = ScoreBasis(1, 1)
         eye = np.eye(basis.dim)
-        gram = GramMatrix(eye, eye, 1, 0, basis)
+        gram = GramMatrix(eye, 1, 0, basis)
         rep = check_h4(gram)
         assert rep.passed
         assert rep.min_eigenvalue == pytest.approx(1.0)
@@ -487,7 +511,7 @@ class TestCheckH4:
         xg[:, 1] = xg[:, 0]
         xg[1, :] = xg[0, :]
         xg[1, 1] = xg[0, 0]
-        broken = GramMatrix(xg / desk_spec.sigma2, xg, gram.mc_draws, 0, gram.basis)
+        broken = GramMatrix(xg, gram.mc_draws, 0, gram.basis)
         rep = check_h4(broken)
         assert not rep.passed
         assert rep.min_eigenvalue <= 1e-12
@@ -527,12 +551,12 @@ class TestNormalizeScore:
     def _identity_gram(self):
         basis = ScoreBasis(1, 1)
         eye = np.eye(basis.dim)
-        return GramMatrix(eye, eye, 1, 0, basis)
+        return GramMatrix(eye, 1, 0, basis)
 
     def test_rescales_to_unit_norm(self):
         gram = self._identity_gram()
         c = np.zeros(7)
-        c[0] = 2.0  # c^T sigma c = 4
+        c[0] = 2.0  # c^T x_gram c = 4
         np.testing.assert_allclose(normalize_score(c, gram), c / 2.0)
 
     def test_idempotent(self, desk_spec):
@@ -546,7 +570,7 @@ class TestNormalizeScore:
         rng = np.random.default_rng(5)
         for _ in range(20):
             c = normalize_score(rng.standard_normal(7), gram)
-            assert abs(c @ gram.sigma @ c - 1.0) <= 1e-10
+            assert abs(c @ gram.x_gram @ c - 1.0) <= 1e-10
 
     def test_zero_vector_rejected(self, desk_spec):
         gram = gram_matrix_gh(desk_spec)
@@ -598,8 +622,8 @@ class TestConeSpec:
         g = rng.standard_normal(7)
         c = _direction_columns(basis, 0, rng.standard_normal(2))
         c[: basis.n_linear] = rng.standard_normal(basis.n_linear)
-        val = max(c @ g, 0.0) ** 2 / (c @ gram.sigma @ c)
-        val_scaled = max(3.7 * c @ g, 0.0) ** 2 / (3.7 * c @ gram.sigma @ c * 3.7)
+        val = max(c @ g, 0.0) ** 2 / (c @ gram.x_gram @ c)
+        val_scaled = max(3.7 * c @ g, 0.0) ** 2 / (3.7 * c @ gram.x_gram @ c * 3.7)
         np.testing.assert_allclose(val_scaled, val, rtol=1e-12)
 
 
@@ -615,13 +639,13 @@ class TestSimulateLimit:
         assert abs(np.quantile(vals, 0.95) - chi2.ppf(0.95, 4)) <= 0.07 * chi2.ppf(0.95, 4)
 
     def test_identity_sigma_linear_cone(self):
-        """With sigma = I the linear-only draw is a sum of r squared
+        """With x_gram = I the linear-only draw is a sum of r squared
         standard normals."""
         theta0 = MlpParams(0.0, [HiddenUnit(1.0, np.array([0.0, 1.0]))])
         spec = RegressionSpec(theta0, sigma2=1.0, input_dim=1)
         basis = ScoreBasis(1, 1)
         eye = np.eye(basis.dim)
-        gram = GramMatrix(eye, eye, 1, 0, basis)
+        gram = GramMatrix(eye, 1, 0, basis)
         sample = simulate_limit(spec, 1, gram, 10_000, seed=23)
         r = basis.n_linear  # 4
         assert abs(np.mean(sample.values) - r) <= 0.05 * r
@@ -734,14 +758,20 @@ class TestSimulateLimit:
             simulate_limit(desk_spec, 0, gram, 10, seed=1)
 
     def test_rejects_failed_certificate(self, desk_spec):
+        """A Gram with two equal columns, in the linear block (the constant
+        and phi) or in the phi'' block (pairs (0, 0) and (1, 1)), fails the
+        certificate at every width before any solver sees it."""
         gram = gram_matrix_gh(desk_spec)
-        xg = gram.x_gram.copy()
-        xg[:, 1] = xg[:, 0]
-        xg[1, :] = xg[0, :]
-        xg[1, 1] = xg[0, 0]
-        broken = GramMatrix(xg, xg, gram.mc_draws, 0, gram.basis)
-        with pytest.raises(ValueError):
-            simulate_limit(desk_spec, 1, broken, 10, seed=1)
+        for i, j in [(0, 1), (4, 6)]:
+            xg = gram.x_gram.copy()
+            xg[:, j] = xg[:, i]
+            xg[j, :] = xg[i, :]
+            xg[j, j] = xg[i, i]
+            for k in (1, 2, 3):
+                broken = GramMatrix(xg, gram.mc_draws, 0, gram.basis)
+                with pytest.raises(ValueError, match="linear-independence certificate") as info:
+                    simulate_limit(desk_spec, k, broken, 10, seed=1)
+                assert type(info.value) is ValueError, (i, j, k)
 
     def test_csv_output(self, desk_spec, tmp_path):
         gram = gram_matrix_gh(desk_spec)
@@ -771,7 +801,6 @@ class TestSimulateLimit:
         gram_core = gram_matrix_gh(desk_spec)
         core = simulate_limit(desk_spec, 2, gram_core, 150, seed=47)
         ext = simulate_limit(desk_spec, 2, gram_ext, 150, seed=47, extended=True)
-        assert ext.extended
         # slack covers the draws themselves: the extended Gram is singular
         # to rounding, so its Cholesky factor carries a jitter that moves
         # the core components of g (by up to 1.5e-5 in value here)
@@ -801,7 +830,7 @@ class TestGaussianDraws:
             basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0)))
             gram = gram_matrix_gh(desk_spec, basis=basis)
             with pytest.raises(np.linalg.LinAlgError):  # the jittered-factor branch
-                np.linalg.cholesky(gram.sigma)
+                np.linalg.cholesky(gram.x_gram)
             return desk_spec, 2, gram, True
         units = [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5])), HiddenUnit(1.5, np.array([-0.3, 0.2, 1.2]))]
         spec = RegressionSpec(MlpParams(0.5, units), 1.0, 2, input_law="laplace")
@@ -811,10 +840,11 @@ class TestGaussianDraws:
         spec, k, gram, extended = case
         seed = 67
         n = 40 if spec.input_dim > 1 else 500  # the d = 2 sphere search is slow
-        assert _gaussian_draws(gram.sigma, n, seed).tobytes() == _per_row_normals(gram.basis.dim, n, seed).tobytes()
-        assert mlplr.limit_law._gaussian_draws(gram.sigma, n, seed).tobytes() == _desk_draws(gram, n, seed).tobytes()
+        z = _gaussian_draws(gram.basis.dim, n, seed)
+        assert z.tobytes() == _per_row_normals(gram.basis.dim, n, seed).tobytes()
+        assert _frozen_factor_map(gram.x_gram, z).tobytes() == _desk_draws(gram, n, seed).tobytes()
         got = simulate_limit(spec, k, gram, n, seed, extended=extended).values
-        monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", lambda sigma, n_draws, s: _desk_draws(gram, n_draws, s))
+        monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", lambda p, n_draws, s: _per_row_normals(p, n_draws, s))
         ref = simulate_limit(spec, k, dataclasses.replace(gram), n, seed, extended=extended).values
         assert got.tobytes() == ref.tobytes()
 
@@ -830,15 +860,16 @@ class TestGaussianDraws:
     # 90,000 normals per case, 1.08 M over the twelve
     @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 7])
     @pytest.mark.parametrize("p", [1, 7, 13, 31])
-    def test_draws_match_per_draw_streams(self, p, seed, frozen_map):
+    def test_draws_match_per_draw_streams(self, p, seed):
         a = np.random.default_rng(p).standard_normal((p, p))
         sigma = a @ a.T + np.eye(p)
         n = -(-90_000 // p)
         rows = _per_row_normals(p, n, seed)
-        assert _gaussian_draws(sigma, n, seed).tobytes() == rows.tobytes()
+        z = _gaussian_draws(p, n, seed)
+        assert z.tobytes() == rows.tobytes()
         factor = _lower_factor(sigma)  # as _per_draw_loop, on the rows made once
-        ref = np.stack([factor @ z for z in rows])
-        assert mlplr.limit_law._gaussian_draws(sigma, n, seed).tobytes() == ref.tobytes()
+        ref = np.stack([factor @ row for row in rows])
+        assert _frozen_factor_map(sigma, z).tobytes() == ref.tobytes()
 
     @staticmethod
     def _row_paths(raw, p, width, guard):
@@ -908,7 +939,7 @@ class TestGaussianDraws:
     def test_drifted_words_fail_loudly(self, monkeypatch):
         monkeypatch.setattr(mlplr.limit_law, "_stream_words", lambda seed, n: _stream_words(seed + 1, n))
         with pytest.raises(RuntimeError):
-            _gaussian_draws(np.eye(2), 5, 7)
+            _gaussian_draws(2, 5, 7)
 
     def test_import_leaves_numpy_random_unloaded(self, modules_after_import):
         """numpy.random, and the ISeedSequence registration, wait for the
@@ -947,7 +978,7 @@ class TestWhitenedDraws:
         of each draw's own stream: the jitter never enters it."""
         gram = gram_matrix_gh(desk_spec, basis=ScoreBasis(1, 1, extended_grid(desk_box, 1)))
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(gram.sigma)
+            np.linalg.cholesky(gram.x_gram)
         n, n_lin = 500, gram.basis.n_linear
         z_lin = _per_row_normals(gram.basis.dim, n, 59)[:, :n_lin]
         values = simulate_limit(desk_spec, 1, gram, n, seed=59).values
@@ -1006,9 +1037,9 @@ class TestGramMemo:
         seed frees the old seed's arrays."""
         made = []
 
-        def spy(sigma, n_draws, seed):
-            made.append((sigma.shape[0], n_draws, seed))
-            return _gaussian_draws(sigma, n_draws, seed)
+        def spy(p, n_draws, seed):
+            made.append((p, n_draws, seed))
+            return _gaussian_draws(p, n_draws, seed)
 
         monkeypatch.setattr(mlplr.limit_law, "_gaussian_draws", spy)
         grid = extended_grid(desk_box, 1, n_angles=8, radii=(2.0, 10.0, 45.0))
@@ -1060,16 +1091,16 @@ class TestExactConeD1:
         gram = gram_matrix_gh(desk_spec)
         g = _desk_draws(gram, self.N, seed=61)
         mx = _ConeMaximizer(gram)
-        return gram, _frozen_residual(mx, g), _frozen_linear_values(mx, g), mx, _ConeMaximizer(gram, ridge=0.0)
+        return gram, _frozen_residual(mx, g), _frozen_linear_values(gram, g), mx, _ridge_free(gram)
 
     @pytest.fixture(scope="class")
     def extended(self, desk_spec, desk_box):
         basis = ScoreBasis(1, 1, extended_grid(desk_box, 1, n_angles=4, radii=(1.0, 10.0)))
         gram = gram_matrix_gh(desk_spec, basis=basis)
         g = _desk_draws(gram, self.N, seed=61)
-        plain = _ConeMaximizer(gram, ridge=0.0)
+        plain = _ridge_free(gram)
         h = _frozen_residual(plain, g)
-        return gram, h, _frozen_linear_values(plain, g), plain, _greedy_extra_columns(plain, h, 2)
+        return gram, h, _frozen_linear_values(gram, g), plain, _greedy_extra_columns(plain, h, 2)
 
     @staticmethod
     def _columns(gram, n):
@@ -1187,7 +1218,7 @@ class TestExactConeD1:
         gram = gram_matrix_gh(desk_spec, basis=basis)
         mx = _ConeMaximizer(gram)
         g = _desk_draws(gram, 40, seed=67)
-        v_lin = _frozen_linear_values(mx, g)
+        v_lin = _frozen_linear_values(gram, g)
         chosen, best_val = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=True)
         if n_free == 2:
             fixed_signs, _ = self._one_call_per_candidate(gram, g, v_lin, n_free, refit_signs=False)
@@ -1228,11 +1259,11 @@ class TestResidualizedConeValues:
         rng = np.random.default_rng(100 + R)
         # the extended Gram is singular to rounding, so draw from a jittered
         # factor as simulate_limit does; the identity holds for any g
-        jitter = 1e-12 * float(np.trace(gram.sigma)) / p
-        g = rng.standard_normal((self.N, p)) @ np.linalg.cholesky(gram.sigma + jitter * np.eye(p)).T
+        jitter = 1e-12 * float(np.trace(gram.x_gram)) / p
+        g = rng.standard_normal((self.N, p)) @ np.linalg.cholesky(gram.x_gram + jitter * np.eye(p)).T
         cols = rng.standard_normal((self.N, R, p))
-        mx = _ConeMaximizer(gram, ridge=ridge)
-        v_lin = _frozen_linear_values(mx, g)
+        mx = _ConeMaximizer(gram) if ridge else _ridge_free(gram)  # 1e-12 is _RIDGE
+        v_lin = _frozen_linear_values(gram, g)
         ref = _block_values_with_columns(gram, ridge, g, cols, v_lin)
         got = mx.values_with_columns(_frozen_residual(mx, g), cols, v_lin)
         assert np.all(np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)))
@@ -1444,7 +1475,7 @@ class TestSignFreeExtras:
         mx = _ConeMaximizer(gram)
         g = _desk_draws(gram, 200, seed=83)
         h = _frozen_residual(mx, g)
-        v_lin = _frozen_linear_values(mx, g)
+        v_lin = _frozen_linear_values(gram, g)
         chosen = _greedy_extra_columns(mx, h, 2)
         extras = _oriented(mx, h, chosen)
         rng = np.random.default_rng(89)
@@ -1536,8 +1567,8 @@ class TestUnitColumnIndices:
             spec = RegressionSpec(MlpParams(0.5, [HiddenUnit(1.0, np.array([0.5, 1.0, -0.5]))]), 1.0, 2, input_law="laplace")
             gram = gram_matrix(spec, 20_000, seed=3, basis=ScoreBasis(1, 2, extended_grid(desk_box, 2, n_angles=6, radii=(1.0, 5.0))))
         mx = _ConeMaximizer(gram)
-        g = _frozen_factor_map(gram.sigma, _gaussian_draws(gram.sigma, self.N, 101))
-        return mx, _frozen_residual(mx, g), _frozen_linear_values(mx, g)
+        g = _frozen_factor_map(gram.x_gram, _gaussian_draws(gram.basis.dim, self.N, 101))
+        return mx, _frozen_residual(mx, g), _frozen_linear_values(gram, g)
 
     @pytest.mark.parametrize("R", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2])
